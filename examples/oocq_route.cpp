@@ -36,14 +36,10 @@
 // forwarding it: the retrying client reconnects, the router re-probes,
 // and the next attempt lands on the new primary.
 
-#include <netdb.h>
 #include <poll.h>
 #include <signal.h>
-#include <unistd.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -60,6 +56,7 @@
 #include "replicate/fence.h"
 #include "replicate/peer.h"
 #include "replicate/ring.h"
+#include "server/event_server.h"
 #include "server/protocol.h"
 #include "support/log.h"
 
@@ -439,27 +436,18 @@ int main(int argc, char** argv) {
   Router router(backends, static_cast<uint32_t>(vnodes), read_from_followers,
                 max_follower_lag);
 
-  int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    std::perror("socket");
+  uint16_t bound_port = 0;
+  StatusOr<int> listener =
+      server::OpenListener(static_cast<uint16_t>(port), /*loopback_only=*/true,
+                           /*nonblocking=*/false, &bound_port);
+  if (!listener.ok()) {
+    std::fprintf(stderr, "error: %s\n", listener.status().ToString().c_str());
     return 1;
   }
-  int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd, 128) < 0) {
-    std::perror("bind/listen");
-    return 1;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  const int listen_fd = *listener;
   OOCQ_LOG(Info, "route")
       .Msg("routing on 127.0.0.1")
-      .With("port", static_cast<uint64_t>(ntohs(addr.sin_port)))
+      .With("port", static_cast<uint64_t>(bound_port))
       .With("backends", backends_flag)
       .With("vnodes", vnodes)
       .With("read_from_followers",

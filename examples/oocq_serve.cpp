@@ -2,7 +2,7 @@
 // deadlines, batching and (optionally) a durable catalog over the line
 // protocol of docs/server.md.
 //
-//   oocq_serve [--port=N] [--transport=event|thread] [--workers=N]
+//   oocq_serve [--port=N] [--workers=N]
 //              [--queue=N] [--threads=N] [--io_threads=N]
 //              [--idle_timeout_ms=N] [--deadline_ms=N] [--data-dir=DIR]
 //              [--snapshot_interval_s=N] [--failpoints=SPEC]
@@ -13,10 +13,9 @@
 //              [--slow_request_us=N] [--stats-file=FILE]
 //              [--stats_interval_s=N] [--trace=FILE] [--metrics] [--smoke]
 //
-// Two transports serve the same protocol (docs/server.md): the default
-// epoll event loop (--transport=event) scales to tens of thousands of
-// concurrent connections; --transport=thread keeps the reference
-// thread-per-connection model.
+// Connections are served by one epoll event loop (server::EventServer,
+// docs/server.md), which scales to tens of thousands of concurrent
+// connections.
 //
 // With --data-dir the server opens a DurableCatalog in DIR
 // (docs/persistence.md): restart replays snapshot + WAL, re-registers
@@ -61,7 +60,6 @@
 #include "replicate/peer.h"
 #include "server/event_server.h"
 #include "server/service.h"
-#include "server/tcp_server.h"
 #include "support/log.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -134,15 +132,15 @@ bool RunSmokeConversation(uint16_t port) {
       "MINIMIZE s1\n"
       "{ x | x in Auto & x in Vehicle }\n"
       ".\n"
-      "METRICS\n"
+      "STATS\n"
       "QUIT\n";
   std::string all = RunScript(port, script);
   std::printf("%s", all.c_str());
-  // Seven replies (PING, SESSION NEW, DEFINE, CONTAIN, MINIMIZE, METRICS,
+  // Seven replies (PING, SESSION NEW, DEFINE, CONTAIN, MINIMIZE, STATS,
   // QUIT), the containment verdict among them.
   return all.find("session=s1") != std::string::npos &&
          all.find("contained=1") != std::string::npos &&
-         all.find("server/requests") != std::string::npos;
+         all.find("\noocq_server_requests ") != std::string::npos;
 }
 
 /// The warm half of the persistence smoke: the restarted server must
@@ -155,13 +153,13 @@ bool RunWarmConversation(uint16_t port) {
       "@q1\n"
       "{ x | x in Vehicle }\n"
       ".\n"
-      "METRICS\n"
+      "STATS\n"
       "QUIT\n";
   std::string all = RunScript(port, script);
   std::printf("%s", all.c_str());
   return all.find("contained=1") != std::string::npos &&
-         all.find("sessions_restored") != std::string::npos &&
-         all.find("cache/hit") != std::string::npos;
+         all.find("\noocq_server_sessions_restored ") != std::string::npos &&
+         all.find("\noocq_cache_hit ") != std::string::npos;
 }
 
 /// Samples the service's progress counters: requests pending while no
@@ -351,7 +349,6 @@ int main(int argc, char** argv) {
   uint64_t slow_request_us = 0, stats_interval_s = 10;
   uint64_t promote_after_ms = 0;
   std::string follow;
-  std::string transport = "event";
   std::string failpoints;
   std::string trace_path;
   std::string data_dir;
@@ -366,8 +363,6 @@ int main(int argc, char** argv) {
       "graceful drain.");
   flags.Uint("port", &port, "N",
              "listen port (default 7733; 0 = ephemeral, printed on startup)");
-  flags.Str("transport", &transport, "event|thread",
-            "epoll event loop or thread-per-connection (default event)");
   flags.Uint("workers", &workers, "N",
              "requests executing concurrently (default 4)");
   flags.Uint("queue", &queue, "N",
@@ -376,10 +371,10 @@ int main(int argc, char** argv) {
   flags.Uint("threads", &threads, "N",
              "engine threads per request (default 1)");
   flags.Uint("io_threads", &io_threads, "N",
-             "event transport: request dispatch pool size (default 8; "
+             "request dispatch pool size (default 8; "
              "0 = one per hardware thread)");
   flags.Uint("idle_timeout_ms", &idle_timeout_ms, "N",
-             "event transport: close idle connections after N ms "
+             "close idle connections after N ms "
              "(default 0 = never)");
   flags.Uint("deadline_ms", &deadline_ms, "N",
              "default per-request deadline (default 0 = unbounded)");
@@ -427,7 +422,7 @@ int main(int argc, char** argv) {
   flags.Str("trace", &trace_path, "FILE",
             "write a Chrome trace of all request spans on shutdown");
   flags.Bool("metrics", &want_metrics,
-             "print the metrics registry JSON on shutdown");
+             "print the STATS exposition on shutdown");
   flags.Bool("smoke", &smoke,
              "self-test: ephemeral port, one scripted conversation, "
              "exit 0/1");
@@ -437,11 +432,6 @@ int main(int argc, char** argv) {
   }
   if (port > 65535) {
     std::fprintf(stderr, "error: --port out of range\n");
-    return flags.UsageError();
-  }
-  if (transport != "event" && transport != "thread") {
-    std::fprintf(stderr,
-                 "error: --transport must be 'event' or 'thread'\n");
     return flags.UsageError();
   }
   std::string follow_host;
@@ -524,7 +514,7 @@ int main(int argc, char** argv) {
       });
 
   // The replication tail, when this node is a follower. Started after the
-  // transport below so clients can probe REPL STATUS during the initial
+  // server below so clients can probe REPL STATUS during the initial
   // sync; stopped before the service dies so no apply races teardown.
   std::unique_ptr<replicate::Follower> follower;
   if (!follow.empty()) {
@@ -541,23 +531,11 @@ int main(int argc, char** argv) {
         .With("promote_after_ms", promote_after_ms);
   }
 
-  // Both transports implement server/transport.h's Transport contract;
-  // everything below (smoke, signals, graceful drain) is transport-
-  // agnostic.
-  auto make_server = [&](uint16_t listen_port) -> std::unique_ptr<Transport> {
-    if (transport == "thread") {
-      TcpServerOptions options;
-      options.port = listen_port;
-      return std::make_unique<TcpServer>(service.get(), options);
-    }
-    EventServerOptions options;
-    options.port = listen_port;
-    options.dispatch_threads = static_cast<uint32_t>(io_threads);
-    options.idle_timeout_ms = idle_timeout_ms;
-    return std::make_unique<EventServer>(service.get(), options);
-  };
-  std::unique_ptr<Transport> server =
-      make_server(smoke ? 0 : static_cast<uint16_t>(port));
+  EventServerOptions server_options;
+  server_options.port = smoke ? 0 : static_cast<uint16_t>(port);
+  server_options.dispatch_threads = static_cast<uint32_t>(io_threads);
+  server_options.idle_timeout_ms = idle_timeout_ms;
+  auto server = std::make_unique<EventServer>(service.get(), server_options);
   Status started = server->Start();
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
@@ -566,7 +544,6 @@ int main(int argc, char** argv) {
   OOCQ_LOG(Info, "serve")
       .Msg("listening on 127.0.0.1")
       .With("port", static_cast<uint64_t>(server->port()))
-      .With("transport", transport)
       .With("workers", static_cast<uint64_t>(service_options.max_in_flight))
       .With("queue", static_cast<uint64_t>(service_options.max_queue_depth))
       .With("threads",
@@ -596,7 +573,7 @@ int main(int argc, char** argv) {
       service = std::make_unique<OocqService>(service_options);
       watchdog.emplace(service.get(), watchdog_s);
       stats_dumper.emplace(service.get(), stats_file, stats_interval_s);
-      server = make_server(0);
+      server = std::make_unique<EventServer>(service.get(), server_options);
       started = server->Start();
       if (!started.ok()) {
         std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
@@ -606,9 +583,7 @@ int main(int argc, char** argv) {
       server->Stop();
       server.reset();
     }
-    if (want_metrics) {
-      std::printf("%s\n", service->metrics().JsonString().c_str());
-    }
+    if (want_metrics) std::printf("%s", service->StatsText().c_str());
     stats_dumper.reset();
     watchdog.reset();
     service.reset();
@@ -631,9 +606,7 @@ int main(int argc, char** argv) {
         .Msg("draining")
         .With("connections", server->connections_accepted());
     server->Stop();  // graceful: in-flight requests finish and respond
-    if (want_metrics) {
-      std::printf("%s\n", service->metrics().JsonString().c_str());
-    }
+    if (want_metrics) std::printf("%s", service->StatsText().c_str());
     server.reset();
     coordinator.Shutdown();  // stops the tail before the service drains
     stats_dumper.reset();  // final dump happens before the service dies

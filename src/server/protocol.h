@@ -60,9 +60,9 @@ CommandLine ParseCommandLine(const std::string& line);
 bool VerbHasPayload(const std::string& verb);
 
 /// Incremental framing state machine for the request side of the wire
-/// protocol, shared by every transport: raw bytes go in via Feed() (from
-/// a blocking read or an epoll readiness callback — the handler does not
-/// care), complete request frames come out of Next() with the payload
+/// protocol: raw bytes go in via Feed() (from EventServer's readiness
+/// loop, or any other byte source — the handler does not care), complete
+/// request frames come out of Next() with the payload
 /// already dot-unstuffed. Frame state survives across Feed() calls, so a
 /// request split over arbitrarily many TCP segments parses identically
 /// to one delivered whole.
@@ -84,7 +84,7 @@ class ConnectionHandler {
   FrameResult Next(CommandLine* command, std::vector<std::string>* payload);
 
   /// Bytes buffered but not yet returned as a frame (read backpressure
-  /// accounting for event-driven transports).
+  /// accounting for the event loop).
   size_t buffered_bytes() const { return buffer_.size(); }
 
   /// True while the handler is mid-payload — an EOF now is a truncated

@@ -755,9 +755,15 @@ StatusOr<ConjunctiveQuery> ResolveQuery(
     const std::map<std::string, ConjunctiveQuery>& named,
     const std::string& text) {
   if (!text.empty() && text[0] == '@') {
-    auto it = named.find(text.substr(1));
+    // Single-query payloads arrive newline-terminated ("@q\n"); the name
+    // is the reference without its surrounding whitespace.
+    const size_t first = text.find_first_not_of(" \t\r\n", 1);
+    const size_t last = text.find_last_not_of(" \t\r\n");
+    const std::string name =
+        first == std::string::npos ? "" : text.substr(first, last - first + 1);
+    auto it = named.find(name);
     if (it == named.end()) {
-      return Status::NotFound("no registered query '" + text.substr(1) + "'");
+      return Status::NotFound("no registered query '" + name + "'");
     }
     return it->second;
   }

@@ -72,7 +72,7 @@ struct ServiceOptions {
   uint64_t default_deadline_ms = 0;
   /// Collect service counters/histograms into metrics() (server/requests,
   /// server/shed, server/latency_us, …). The registry is the one the
-  /// `METRICS` protocol command snapshots.
+  /// `STATS` protocol command exposes.
   bool metrics = true;
   /// Service-wide resource ceilings (docs/robustness.md). Work limits
   /// (disjuncts, subset work units) cap the *aggregate* of all in-flight

@@ -19,7 +19,6 @@
 #include "replicate/follower.h"
 #include "server/event_server.h"
 #include "server/service.h"
-#include "server/transport.h"
 #include "support/file.h"
 #include "test_util.h"
 

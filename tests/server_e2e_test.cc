@@ -1,9 +1,7 @@
-// End-to-end tests for the TCP front ends: an in-process server on an
-// ephemeral port, real sockets, 8 concurrent client conversations, and a
-// graceful shutdown that drains in-flight requests instead of severing
-// them. The whole suite is parameterized over both Transport
-// implementations (thread-per-connection and epoll event loop) — the
-// wire contract must be indistinguishable.
+// End-to-end tests for the TCP front end: an in-process EventServer on
+// an ephemeral port, real sockets, 8 concurrent client conversations,
+// deadlines over the wire, and a graceful shutdown that drains in-flight
+// requests instead of severing them.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +20,8 @@
 #include "server/event_server.h"
 #include "server/service.h"
 #include "support/file.h"
-#include "support/metrics.h"
 #include "support/trace.h"
 #include "test_util.h"
-#include "transport_test_util.h"
 
 namespace oocq::server {
 namespace {
@@ -106,14 +102,18 @@ std::string HeavyContainPayload(int k) {
   return q1 + "\n{ x | exists y (x in D & y in C & x notin y.S0) }\n.\n";
 }
 
-class ServerE2eTest : public ::testing::TestWithParam<const char*> {};
+class ServerE2eTest : public ::testing::Test {
+ protected:
+  ServerE2eTest() { server_options_.dispatch_threads = 4; }
 
-TEST_P(ServerE2eTest, EightConcurrentClients) {
+  EventServerOptions server_options_;
+};
+
+TEST_F(ServerE2eTest, EightConcurrentClients) {
   ServiceOptions service_options;
   service_options.max_in_flight = 4;
   OocqService service(service_options);
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  Transport& server = *server_ptr;
+  EventServer server(&service, server_options_);
   OOCQ_ASSERT_OK(server.Start());
   ASSERT_NE(server.port(), 0);
 
@@ -231,34 +231,13 @@ TEST(RequestTraceE2eTest, TaggedRequestLinksSpansAcrossLayers) {
   }
 }
 
-TEST_P(ServerE2eTest, TransportLabelCounterIdentifiesTransport) {
-  // Dashboards tell deployments apart by the transport label: starting a
-  // transport bumps exactly its own server/transport/<name> counter, so a
-  // scrape can always answer "event loop or thread-per-connection?".
-  MetricsRegistry registry;
-  MetricsScope scope(&registry);
-  ASSERT_TRUE(scope.active());
-
-  OocqService service;
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  OOCQ_ASSERT_OK(server_ptr->Start());
-  server_ptr->Stop();
-
-  const bool is_event = std::string(GetParam()) == "event";
-  EXPECT_EQ(registry.CounterValue("server/transport/event"),
-            is_event ? 1u : 0u);
-  EXPECT_EQ(registry.CounterValue("server/transport/thread"),
-            is_event ? 0u : 1u);
-}
-
-TEST_P(ServerE2eTest, DeadlineEnforcedOverTheWire) {
+TEST_F(ServerE2eTest, DeadlineEnforcedOverTheWire) {
   // Interpreted scan only: the compiled subset scan decides k=20 in
   // microseconds and the 10 ms deadline would never trip.
   ServiceOptions service_options;
   service_options.engine.enable_compilation = false;
   OocqService service(service_options);
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  Transport& server = *server_ptr;
+  EventServer server(&service, server_options_);
   OOCQ_ASSERT_OK(server.Start());
 
   TestClient client(server.port());
@@ -279,15 +258,14 @@ TEST_P(ServerE2eTest, DeadlineEnforcedOverTheWire) {
   server.Stop();
 }
 
-TEST_P(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
+TEST_F(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
   ServiceOptions service_options;
   service_options.max_in_flight = 2;
   // Interpreted scan only: the in-flight request must still be running
   // when Stop() lands.
   service_options.engine.enable_compilation = false;
   OocqService service(service_options);
-  auto server_ptr = oocq::testing::MakeTransport(GetParam(), &service);
-  Transport& server = *server_ptr;
+  EventServer server(&service, server_options_);
   OOCQ_ASSERT_OK(server.Start());
 
   TestClient client(server.port());
@@ -321,12 +299,6 @@ TEST_P(ServerE2eTest, GracefulShutdownDrainsInFlightRequest) {
     EXPECT_EQ(late.ReadReply(), "");
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, ServerE2eTest,
-                         ::testing::ValuesIn(oocq::testing::kTransportNames),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace oocq::server

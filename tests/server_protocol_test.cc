@@ -1,8 +1,8 @@
-// ProtocolHandler behavior the e2e smoke doesn't pin down: the METRICS
-// verb's reply framing, and malformed dot-stuffed frames at the TCP layer
-// (a line over the reader's cap, a payload whose "." terminator never
-// arrives) — both must drop the connection, never hang or crash the
-// server, and never corrupt a neighboring connection.
+// ProtocolHandler behavior the e2e smoke doesn't pin down: the STATS
+// verb's reply framing, `@name` payloads, and malformed dot-stuffed
+// frames at the TCP layer (a line over the reader's cap, a payload whose
+// "." terminator never arrives) — both must drop the connection, never
+// hang or crash the server, and never corrupt a neighboring connection.
 
 #include <gtest/gtest.h>
 
@@ -15,34 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "server/event_server.h"
 #include "server/protocol.h"
 #include "server/service.h"
 #include "test_util.h"
-#include "transport_test_util.h"
 
 namespace oocq::server {
 namespace {
 
 using ::oocq::testing::kVehicleRentalSchema;
 
-TEST(ProtocolHandlerTest, MetricsReplyIsFramedJson) {
-  OocqService service;
-  OOCQ_ASSERT_OK(service.CreateSession(kVehicleRentalSchema).status());
-  ProtocolHandler handler(&service);
-
-  ProtocolReply reply = handler.Handle(ParseCommandLine("METRICS"), {});
-  EXPECT_FALSE(reply.close);
-  EXPECT_EQ(reply.text.rfind("OK", 0), 0u) << reply.text;
-  EXPECT_NE(reply.text.find("\"counters\""), std::string::npos) << reply.text;
-  EXPECT_NE(reply.text.find("server/sessions_created"), std::string::npos);
-  // Every reply is "."-framed so clients can stream them.
-  ASSERT_GE(reply.text.size(), 2u);
-  EXPECT_EQ(reply.text.substr(reply.text.size() - 2), ".\n");
-}
-
-TEST(ProtocolHandlerTest, MetricsSeesCacheEvictionCounter) {
+TEST(ProtocolHandlerTest, StatsSeesCacheEvictionCounter) {
   // A cache capped at one entry per shard evicts on the second distinct
-  // decision; the eviction must surface in the METRICS registry.
+  // decision; the eviction must surface in the STATS exposition.
   ServiceOptions options;
   options.engine.cache.max_entries = 1;
   options.engine.cache.num_shards = 1;
@@ -61,9 +46,46 @@ TEST(ProtocolHandlerTest, MetricsSeesCacheEvictionCounter) {
         handler.Handle(ParseCommandLine("CONTAIN " + *sid), {q1, q2});
     EXPECT_EQ(reply.text.rfind("OK contained=1", 0), 0u) << reply.text;
   }
-  ProtocolReply metrics = handler.Handle(ParseCommandLine("METRICS"), {});
-  EXPECT_NE(metrics.text.find("cache/evictions"), std::string::npos)
-      << metrics.text;
+  ProtocolReply stats = handler.Handle(ParseCommandLine("STATS"), {});
+  EXPECT_NE(stats.text.find("\noocq_cache_evictions "), std::string::npos)
+      << stats.text;
+}
+
+TEST(ProtocolHandlerTest, NamedQueryPayloadResolvesOnUnaryVerbs) {
+  // A one-line `@name` payload reaches the service newline-terminated;
+  // SAT, MINIMIZE and EVAL must resolve it the way CONTAIN does.
+  OocqService service;
+  StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  ProtocolHandler handler(&service);
+
+  ProtocolReply defined = handler.Handle(
+      ParseCommandLine("DEFINE " + *sid + " autos"), {"{ x | x in Auto }"});
+  ASSERT_EQ(defined.text.rfind("OK", 0), 0u) << defined.text;
+  ProtocolReply loaded = handler.Handle(
+      ParseCommandLine("STATE " + *sid),
+      {"state {", "  corolla: Auto { }", "}"});
+  ASSERT_EQ(loaded.text.rfind("OK", 0), 0u) << loaded.text;
+
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"SAT", "OK satisfiable=1"},
+      {"MINIMIZE", "OK exact=1"},
+      {"EVAL", "OK nonempty=1"},
+  };
+  for (const auto& [verb, prefix] : expected) {
+    ProtocolReply reply =
+        handler.Handle(ParseCommandLine(verb + " " + *sid), {"@autos"});
+    EXPECT_EQ(reply.text.rfind(prefix, 0), 0u) << verb << ": " << reply.text;
+  }
+  ProtocolReply contained = handler.Handle(
+      ParseCommandLine("CONTAIN " + *sid), {"@autos", "{ x | x in Vehicle }"});
+  EXPECT_EQ(contained.text.rfind("OK contained=1", 0), 0u) << contained.text;
+
+  ProtocolReply missing =
+      handler.Handle(ParseCommandLine("SAT " + *sid), {"@nope"});
+  EXPECT_EQ(missing.text.rfind("ERR NOT_FOUND no registered query 'nope'", 0),
+            0u)
+      << missing.text;
 }
 
 TEST(ProtocolHandlerTest, RequestIdPrefixParses) {
@@ -216,14 +238,16 @@ std::string RecvAll(int fd) {
   return all;
 }
 
-/// Runs against both transports: framing abuse must be handled
-/// identically by the blocking reader and the epoll state machine.
-class TcpFramingTest : public ::testing::TestWithParam<const char*> {
+/// Framing abuse against a live EventServer: the epoll state machine
+/// must drop only the offending connection.
+class TcpFramingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     service_ = std::make_unique<OocqService>();
     OOCQ_ASSERT_OK(service_->CreateSession(kVehicleRentalSchema).status());
-    server_ = oocq::testing::MakeTransport(GetParam(), service_.get());
+    EventServerOptions options;
+    options.dispatch_threads = 4;
+    server_ = std::make_unique<EventServer>(service_.get(), options);
     OOCQ_ASSERT_OK(server_->Start());
   }
   void TearDown() override {
@@ -233,10 +257,10 @@ class TcpFramingTest : public ::testing::TestWithParam<const char*> {
   }
 
   std::unique_ptr<OocqService> service_;
-  std::unique_ptr<Transport> server_;
+  std::unique_ptr<EventServer> server_;
 };
 
-TEST_P(TcpFramingTest, OversizedLineDropsConnectionButNotServer) {
+TEST_F(TcpFramingTest, OversizedLineDropsConnectionButNotServer) {
   int fd = ConnectTo(server_->port());
   // > 1 MiB without a newline: the reader must give up, not buffer
   // forever.
@@ -254,7 +278,7 @@ TEST_P(TcpFramingTest, OversizedLineDropsConnectionButNotServer) {
   ::close(fd2);
 }
 
-TEST_P(TcpFramingTest, MissingPayloadTerminatorIsCleanDisconnect) {
+TEST_F(TcpFramingTest, MissingPayloadTerminatorIsCleanDisconnect) {
   int fd = ConnectTo(server_->port());
   // CONTAIN opens a payload frame; the client dies before sending ".".
   ASSERT_TRUE(SendString(fd, "CONTAIN s1\n{ x | x in Auto }\n"));
@@ -269,7 +293,7 @@ TEST_P(TcpFramingTest, MissingPayloadTerminatorIsCleanDisconnect) {
   ::close(fd2);
 }
 
-TEST_P(TcpFramingTest, DotStuffedPayloadLinesAreUnstuffed) {
+TEST_F(TcpFramingTest, DotStuffedPayloadLinesAreUnstuffed) {
   int fd = ConnectTo(server_->port());
   // A payload line starting with "." must be sent dot-stuffed ("..");
   // the server unstuffs it before parsing. "." alone still terminates.
@@ -281,12 +305,6 @@ TEST_P(TcpFramingTest, DotStuffedPayloadLinesAreUnstuffed) {
   EXPECT_NE(reply.find("OK"), std::string::npos) << reply;  // the QUIT
   ::close(fd);
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, TcpFramingTest,
-                         ::testing::ValuesIn(oocq::testing::kTransportNames),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace oocq::server

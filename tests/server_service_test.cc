@@ -330,7 +330,7 @@ TEST(ProtocolTest, ParseCommandLineSplitsVerbArgsParams) {
   EXPECT_TRUE(VerbHasPayload("CONTAIN"));
   EXPECT_TRUE(VerbHasPayload("BATCH"));
   EXPECT_FALSE(VerbHasPayload("PING"));
-  EXPECT_FALSE(VerbHasPayload("METRICS"));
+  EXPECT_FALSE(VerbHasPayload("STATS"));
 }
 
 TEST(ProtocolTest, FullConversation) {
@@ -366,8 +366,8 @@ TEST(ProtocolTest, FullConversation) {
                "SAT\t{ x | x in A1 }"}));
   EXPECT_EQ(batch.text, "OK n=3 retryable=0\n101\n.\n");
 
-  ProtocolReply metrics = handler.Handle(ParseCommandLine("METRICS"), {});
-  EXPECT_NE(metrics.text.find("server/requests"), std::string::npos);
+  ProtocolReply stats = handler.Handle(ParseCommandLine("STATS"), {});
+  EXPECT_NE(stats.text.find("\noocq_server_requests "), std::string::npos);
 
   ProtocolReply parse_error = handler.Handle(
       ParseCommandLine("CONTAIN s1"), Payload({"{ not a query", "x }"}));

@@ -13,17 +13,19 @@
 
 namespace oocq::testing {
 
-/// gtest helpers for Status / StatusOr.
+/// gtest helpers for Status. The status is held by value: `expr` is often
+/// `Temp().status()`, a reference into a StatusOr that dies at the end of
+/// the full-expression, so binding `const auto&` to it would dangle.
 #define OOCQ_ASSERT_OK(expr)                                \
   do {                                                      \
-    const auto& oocq_assert_status_ = (expr);               \
+    const ::oocq::Status oocq_assert_status_ = (expr);      \
     ASSERT_TRUE(oocq_assert_status_.ok())                   \
         << oocq_assert_status_.ToString();                  \
   } while (false)
 
 #define OOCQ_EXPECT_OK(expr)                                \
   do {                                                      \
-    const auto& oocq_expect_status_ = (expr);               \
+    const ::oocq::Status oocq_expect_status_ = (expr);      \
     EXPECT_TRUE(oocq_expect_status_.ok())                   \
         << oocq_expect_status_.ToString();                  \
   } while (false)
