@@ -3,7 +3,8 @@
 // Vehicle/Discount query (Ex 1.1) and its minimized Auto form on random
 // states of growing size and report both wall time and the evaluator's
 // work counters (candidate pool = static search space, assignments tried
-// = dynamic search work).
+// = dynamic search work). Evaluation runs the default path — the bytecode
+// VM the server uses — and the counters are the VM's.
 //
 // Series reproduced:
 //  * Evaluation/Original/N vs Evaluation/Minimized/N: time and
@@ -22,7 +23,6 @@
 #include "parser/parser.h"
 #include "state/evaluation.h"
 #include "state/generator.h"
-#include "state/indexed_evaluation.h"
 
 namespace oocq {
 namespace {
@@ -121,9 +121,9 @@ schema Partition {
 }
 BENCHMARK(BM_EvaluationPartitionMinimized)->Arg(10)->Arg(40)->Arg(160);
 
-// Ablation: the greedy join order (bind small extents first) vs
-// declaration order, on a query whose selective variable is declared
-// last. Answers identical; assignments differ sharply.
+// Ablation: the tree walker's greedy join order (bind small extents
+// first) vs declaration order, on a query whose selective variable is
+// declared last. Answers identical; assignments differ sharply.
 void BM_EvaluationJoinOrder(benchmark::State& state) {
   const bool reorder = state.range(1) != 0;
   Schema schema = bench::MakeVehicleRentalSchema();
@@ -133,6 +133,7 @@ void BM_EvaluationJoinOrder(benchmark::State& state) {
       "{ x | exists c exists y (x in Vehicle & c in Vehicle & "
       "y in Discount & x in y.VehRented & c in y.VehRented) }"));
   EvalOptions options;
+  options.enable_compilation = false;  // the join order is the walker's
   options.reorder_variables = reorder;
   EvalStats stats;
   size_t answers = 0;
@@ -190,36 +191,6 @@ BENCHMARK(BM_EvaluationCompiledVsWalker)
     ->Args({160, 1})
     ->Args({640, 0})
     ->Args({640, 1});
-
-// Access-path ablation: the naive scan evaluator vs the index-nested-loop
-// evaluator on a selective join (which clients rented one given vehicle's
-// sibling autos). The index turns the membership atom into a probe.
-void BM_EvaluationIndexedVsNaive(benchmark::State& state) {
-  const bool indexed = state.range(1) != 0;
-  Schema schema = bench::MakeVehicleRentalSchema();
-  State database = GenerateRandomState(schema, MakeParams(state.range(0)));
-  ConjunctiveQuery query = bench::Must(ParseQuery(
-      schema,
-      "{ y | exists x exists z (y in Client & x in Auto & z in Auto & "
-      "x in y.VehRented & z in y.VehRented & x != z) }"));
-  StateIndex index(database);
-  size_t answers = 0;
-  for (auto _ : state) {
-    std::vector<Oid> result =
-        indexed ? bench::Must(EvaluateIndexed(index, query))
-                : bench::Must(Evaluate(database, query));
-    answers = result.size();
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-}
-BENCHMARK(BM_EvaluationIndexedVsNaive)
-    ->ArgNames({"n", "indexed"})
-    ->Args({40, 0})
-    ->Args({40, 1})
-    ->Args({160, 0})
-    ->Args({160, 1})
-    ->Args({640, 1});  // The naive scan takes ~15 s/iteration at 640.
 
 }  // namespace
 }  // namespace oocq

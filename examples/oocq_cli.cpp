@@ -152,28 +152,20 @@ int RunEval(const Schema& schema, const MinimizationOptions& options,
                  well_formed.status().ToString().c_str());
     return 1;
   }
-  // The search-space counters describe tree-walker work, so the stats
-  // sink only rides along on the interpreted path; the default compiled
-  // run (docs/compilation.md) prints the answers alone.
+  // The counters come from whichever evaluator ran: the bytecode VM by
+  // default, the tree walker under --no-compile.
   EvalOptions eval_options;
   eval_options.enable_compilation = options.enable_compilation;
   EvalStats stats;
   std::vector<Oid> answers =
-      eval_options.enable_compilation
-          ? Must(Evaluate(database, *well_formed, eval_options))
-          : Must(Evaluate(database, *well_formed, eval_options, &stats));
+      Must(Evaluate(database, *well_formed, eval_options, &stats));
   std::printf("%zu answer(s):\n", answers.size());
   for (Oid oid : answers) {
     std::printf("  %s\n", database.DebugString(oid).c_str());
   }
-  if (eval_options.enable_compilation) {
-    std::printf("(compiled; rerun with --no-compile for search-space "
-                "counters)\n");
-  } else {
-    std::printf("(%llu candidate objects, %llu assignments tried)\n",
-                static_cast<unsigned long long>(stats.candidate_pool),
-                static_cast<unsigned long long>(stats.assignments_tried));
-  }
+  std::printf("(%llu candidate objects, %llu assignments tried)\n",
+              static_cast<unsigned long long>(stats.candidate_pool),
+              static_cast<unsigned long long>(stats.assignments_tried));
   return 0;
 }
 

@@ -87,6 +87,7 @@ schema VehicleRental {
   std::printf("%s\n", report.Summary(schema).c_str());
 
   // --- Evaluate both and compare the work done -----------------------
+  // The counters are the bytecode VM's, the evaluator the server runs.
   EvalStats original_stats;
   std::vector<Oid> original = Must(Evaluate(db, query, {}, &original_stats));
   EvalStats optimized_stats;

@@ -4,16 +4,13 @@
 #include <map>
 #include <utility>
 
-#include "support/metrics.h"
-
 namespace oocq::compile {
 
 namespace {
 
 /// Static cost/selectivity priority per test opcode (lower runs earlier).
-/// Used when no recorded pass rates are available, so plans are
-/// deterministic with metrics off. Equality against an interned constant
-/// is the cheapest and most selective; set probes the least.
+/// Equality against an interned constant is the cheapest and most
+/// selective; set probes the least.
 uint32_t StaticTestPriority(OpCode code) {
   switch (code) {
     case OpCode::kTestConst: return 50;
@@ -29,27 +26,6 @@ uint32_t StaticTestPriority(OpCode code) {
     case OpCode::kTestNotMember: return 600;
     default: return 1000;
   }
-}
-
-/// The ordering key of a test: the opcode's observed pass rate (per
-/// mille) when the metrics registry has accumulated enough samples from
-/// prior VM runs (`compile/sel/<op>/{pass,total}`), else the static
-/// priority. A lower pass rate prunes more per test, so it runs earlier.
-uint32_t TestPriority(const Op& test, bool use_stats) {
-  if (use_stats) {
-    if (MetricsRegistry* metrics = ActiveMetrics()) {
-      const std::string base =
-          std::string("compile/sel/") + OpCodeName(test.code);
-      const uint64_t total = metrics->CounterValue(base + "/total");
-      // Below this many samples the observed rate is noise; stick to the
-      // static plan so two compiles of one query agree.
-      if (total >= 256) {
-        const uint64_t pass = metrics->CounterValue(base + "/pass");
-        return static_cast<uint32_t>(pass * 1000 / total);
-      }
-    }
-  }
-  return StaticTestPriority(test.code);
 }
 
 struct AtomPlan {
@@ -76,8 +52,7 @@ void AtomVars(const Atom& atom, VarId out[2], int* count) {
 }  // namespace
 
 StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
-                                     const ConjunctiveQuery& query,
-                                     const CompileOptions& options) {
+                                     const ConjunctiveQuery& query) {
   const size_t n = query.num_vars();
   if (n == 0 || query.free_var() == kInvalidVarId || query.free_var() >= n) {
     return Status::FailedPrecondition(
@@ -344,12 +319,12 @@ StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
   }
   (void)schema;
 
-  // ---- Selectivity ordering within each level ---------------------------
+  // ---- Static test order within each level ------------------------------
   for (Level& level : program.levels) {
     std::stable_sort(level.tests.begin(), level.tests.end(),
-                     [&](const Op& a, const Op& b) {
-                       return TestPriority(a, options.use_selectivity_stats) <
-                              TestPriority(b, options.use_selectivity_stats);
+                     [](const Op& a, const Op& b) {
+                       return StaticTestPriority(a.code) <
+                              StaticTestPriority(b.code);
                      });
   }
   return program;

@@ -8,23 +8,15 @@
 
 namespace oocq::compile {
 
-struct CompileOptions {
-  /// Order tests within a level by observed pass rates from the installed
-  /// metrics registry (the `compile/sel/...` counters the VM records).
-  /// Without a registry — or before any execution recorded samples — the
-  /// order falls back to a deterministic static cost priority, so
-  /// compilation is reproducible when metrics are off.
-  bool use_selectivity_stats = true;
-};
-
 /// Compiles a well-formed conjunctive query into a CompiledQuery whose
 /// execution (vm.h) produces exactly the answers and status codes of the
 /// tree-walking Evaluate(). Returns kFailedPrecondition for query shapes the
 /// compiler does not cover — callers fall back to the tree walker; the
 /// fallback is part of the contract, never an error surfaced to users.
+/// The plan depends on the query alone: the same query compiles to the
+/// same program whatever the process has executed before.
 StatusOr<CompiledQuery> CompileQuery(const Schema& schema,
-                                     const ConjunctiveQuery& query,
-                                     const CompileOptions& options = {});
+                                     const ConjunctiveQuery& query);
 
 }  // namespace oocq::compile
 

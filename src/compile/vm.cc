@@ -10,28 +10,6 @@ namespace oocq::compile {
 
 namespace {
 
-constexpr size_t kNumOpCodes = static_cast<size_t>(OpCode::kTestConst) + 1;
-
-/// Per-opcode pass/total tallies accumulated locally during a run and
-/// flushed to `compile/sel/<op>/{pass,total}` once at exit — the feedback
-/// the compiler's selectivity ordering reads. Local accumulation keeps
-/// the inner loop free of registry lookups.
-struct SelectivityTally {
-  uint64_t total[kNumOpCodes] = {};
-  uint64_t pass[kNumOpCodes] = {};
-
-  void Flush() const {
-    if (ActiveMetrics() == nullptr) return;
-    for (size_t i = 0; i < kNumOpCodes; ++i) {
-      if (total[i] == 0) continue;
-      const std::string base =
-          std::string("compile/sel/") + OpCodeName(static_cast<OpCode>(i));
-      MetricAdd(base + "/total", total[i]);
-      MetricAdd(base + "/pass", pass[i]);
-    }
-  }
-};
-
 /// Candidate source of one open loop level.
 struct LevelRt {
   const Oid* data = nullptr;
@@ -44,7 +22,6 @@ struct LevelRt {
 
 StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
                                            const State& state,
-                                           const StateIndex* index,
                                            const ExecOptions& options,
                                            ExecStats* stats) {
   OOCQ_TRACE_SPAN(span, "ExecuteCompiled");
@@ -59,19 +36,12 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
   }
 
   // ---- Per-execution state specialization -------------------------------
-  // Objects grouped by terminal class (skipped when an index supplies
-  // extents). One O(N) pass replaces the tree walker's per-variable
-  // extent scans.
-  std::vector<std::vector<Oid>> by_class;
-  if (index == nullptr) {
-    by_class.resize(schema.num_classes());
-    for (Oid oid = 0; oid < state.num_objects(); ++oid) {
-      by_class[state.class_of(oid)].push_back(oid);
-    }
+  // Objects grouped by terminal class. One O(N) pass replaces the tree
+  // walker's per-variable extent scans.
+  std::vector<std::vector<Oid>> by_class(schema.num_classes());
+  for (Oid oid = 0; oid < state.num_objects(); ++oid) {
+    by_class[state.class_of(oid)].push_back(oid);
   }
-  auto terminal_extent = [&](ClassId t) -> const std::vector<Oid>& {
-    return index != nullptr ? index->Extent(t) : by_class[t];
-  };
 
   // The terminal classes of a class disjunction, deduplicated (two classes
   // of one disjunction may share descendants; terminal classes partition
@@ -101,7 +71,7 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
       pool = state.num_objects();
     } else {
       for (ClassId t : terminals_of(program.range_classes[v])) {
-        pool += terminal_extent(t).size();
+        pool += by_class[t].size();
       }
     }
     if (stats != nullptr) stats->candidate_pool += pool;
@@ -124,12 +94,12 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     } else if (gen.code == OpCode::kScanExtent) {
       const std::vector<ClassId>& terminals = terminals_of(gen.classes);
       if (terminals.size() == 1) {
-        const std::vector<Oid>& extent = terminal_extent(terminals[0]);
+        const std::vector<Oid>& extent = by_class[terminals[0]];
         levels[d].data = extent.data();
         levels[d].size = extent.size();
       } else {
         for (ClassId t : terminals) {
-          const std::vector<Oid>& extent = terminal_extent(t);
+          const std::vector<Oid>& extent = by_class[t];
           owned[d].insert(owned[d].end(), extent.begin(), extent.end());
         }
         levels[d].data = owned[d].data();
@@ -156,7 +126,6 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
   // ---- Registers --------------------------------------------------------
   std::vector<Oid> reg(n, kInvalidOid);
   std::vector<const Value*> slot(program.slots.size(), nullptr);
-  SelectivityTally sel;
 
   auto class_test = [&](Oid oid, const std::vector<ClassId>& classes) {
     const ClassId cls = state.class_of(oid);
@@ -290,10 +259,7 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     }
     bool holds = true;
     for (const Op& test : level.tests) {
-      ++sel.total[static_cast<size_t>(test.code)];
-      if (run_test(test)) {
-        ++sel.pass[static_cast<size_t>(test.code)];
-      } else {
+      if (!run_test(test)) {
         holds = false;
         break;
       }
@@ -311,7 +277,6 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     open_level(depth);
   }
 
-  sel.Flush();
   if (stats != nullptr) stats->bindings += bindings;
   span.Arg("bindings", bindings)
       .Arg("answers", static_cast<uint64_t>(answers.size()));

@@ -162,6 +162,7 @@ StatusOr<bool> ContainmentCache::Contained(const ConjunctiveQuery& q1,
     std::lock_guard<std::mutex> lock(shard.mu);
     if (decided.ok()) {
       entry->value = *decided;
+      decided_.fetch_add(1, std::memory_order_relaxed);
     } else {
       entry->error = decided.status();
       if (IsRetryable(decided.status().code())) {

@@ -79,6 +79,10 @@ class ContainmentCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
+  /// Verdicts this cache decided and memoized itself (errors and Preload()
+  /// excluded). Monotonic: every verdict Export() can newly carry moves
+  /// it, so a caller persisting exports can tell when it has news.
+  uint64_t decided() const { return decided_.load(std::memory_order_relaxed); }
   /// Finished entries currently resident (sums shard sizes under locks).
   size_t size() const;
 
@@ -120,6 +124,7 @@ class ContainmentCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> decided_{0};
 };
 
 }  // namespace oocq

@@ -60,8 +60,8 @@ struct EngineOptions {
   CacheOptions cache;
   ObservabilityOptions observability;
   /// Master switch for the query-compilation subsystem (src/compile/):
-  /// the bytecode VM fast path in Evaluate/EvaluateIndexed and the
-  /// compiled Thm 3.1 subset scan. Propagated into
+  /// the bytecode VM fast path in Evaluate and the compiled Thm 3.1
+  /// subset scan. Propagated into
   /// containment.enable_compilation by WithPropagatedParallelism, and
   /// into EvalOptions by the service layer. `--no-compile` on the CLIs
   /// maps here for A/B runs; results are identical either way.

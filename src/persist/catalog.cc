@@ -150,9 +150,11 @@ Status DurableCatalog::SetTerm(uint64_t term) {
 
 Status DurableCatalog::SnapshotNow() {
   std::function<std::vector<Record>()> dump;
+  std::function<uint64_t()> unlogged;
   {
     std::lock_guard<std::mutex> lock(dump_mu_);
     dump = dump_;
+    unlogged = unlogged_;
   }
   if (!dump) return Status::Ok();
 
@@ -168,6 +170,10 @@ Status DurableCatalog::SnapshotNow() {
   // form one atomic cut, so the reset cannot drop an un-snapshotted
   // mutation.
   std::unique_lock<std::shared_mutex> gate(gate_);
+  // Read before the dump: a verdict memoized in between is in this
+  // snapshot and also moves the count, which costs one extra snapshot
+  // at worst; read after, it could be missed by both.
+  const uint64_t unlogged_now = unlogged ? unlogged() : 0;
   std::vector<Record> records = dump();
   uint64_t seq = next_snapshot_seq_;
   OOCQ_RETURN_IF_ERROR(WriteSnapshot(options_.data_dir, seq, records));
@@ -176,6 +182,7 @@ Status DurableCatalog::SnapshotNow() {
   {
     std::lock_guard<std::mutex> lock(dump_mu_);
     appends_at_last_snapshot_ = wal_->appended();
+    unlogged_at_last_snapshot_ = unlogged_now;
   }
   gate.unlock();
 
@@ -219,11 +226,13 @@ StatusOr<DurableCatalog::PositionedDump> DurableCatalog::DumpWithPosition() {
 }
 
 void DurableCatalog::StartSnapshotter(
-    std::function<std::vector<Record>()> dump) {
+    std::function<std::vector<Record>()> dump,
+    std::function<uint64_t()> unlogged) {
   const bool has_dump = static_cast<bool>(dump);
   {
     std::lock_guard<std::mutex> lock(dump_mu_);
     dump_ = std::move(dump);
+    unlogged_ = std::move(unlogged);
   }
   // A null dump detaches the provider (the service does this as it dies).
   if (!has_dump || options_.snapshot_interval_s == 0) return;
@@ -249,15 +258,23 @@ void DurableCatalog::SnapshotLoop() {
         lock, std::chrono::seconds(options_.snapshot_interval_s),
         [this] { return stop_snapshotter_; });
     if (stop_snapshotter_) return;
-    bool idle;
+    // The idle check and the snapshot run unlocked: the count provider
+    // takes its own locks.
+    lock.unlock();
+    std::function<uint64_t()> unlogged;
+    uint64_t unlogged_then = 0;
+    bool idle = false;
     {
       std::lock_guard<std::mutex> dump_lock(dump_mu_);
       idle = wal_->appended() == appends_at_last_snapshot_;
+      unlogged = unlogged_;
+      unlogged_then = unlogged_at_last_snapshot_;
     }
-    if (idle) continue;  // nothing new since the last snapshot
-    lock.unlock();
-    Status taken = SnapshotNow();
-    if (!taken.ok()) MetricAdd("persist/snapshot_failures", 1);
+    if (idle && unlogged) idle = unlogged() == unlogged_then;
+    if (!idle) {  // something new since the last snapshot
+      Status taken = SnapshotNow();
+      if (!taken.ok()) MetricAdd("persist/snapshot_failures", 1);
+    }
     lock.lock();
   }
 }

@@ -121,8 +121,13 @@ class DurableCatalog {
   /// Registers the registry dump and starts the cadence thread
   /// (options.snapshot_interval_s; 0 registers the dump only). `dump`
   /// is called with mutations blocked and must not call back into the
-  /// catalog. Idempotent.
-  void StartSnapshotter(std::function<std::vector<Record>()> dump);
+  /// catalog. `unlogged` (optional) counts registry changes that reach
+  /// disk only through a snapshot — the service passes the containment
+  /// verdicts it memoized. A cadence tick snapshots when the WAL grew or
+  /// that count moved since the last snapshot, and writes nothing
+  /// otherwise. Idempotent.
+  void StartSnapshotter(std::function<std::vector<Record>()> dump,
+                        std::function<uint64_t()> unlogged = nullptr);
   /// Joins the cadence thread; further snapshots only via SnapshotNow().
   void StopSnapshotter();
 
@@ -159,9 +164,11 @@ class DurableCatalog {
 
   std::mutex dump_mu_;
   std::function<std::vector<Record>()> dump_;
-  /// WAL appends at the time of the last snapshot — a cadence tick with
-  /// nothing new appended skips the snapshot.
+  std::function<uint64_t()> unlogged_;
+  /// WAL appends and unlogged() at the time of the last snapshot — a
+  /// cadence tick where neither moved skips the snapshot.
   uint64_t appends_at_last_snapshot_ = 0;
+  uint64_t unlogged_at_last_snapshot_ = 0;
 
   std::mutex snapshotter_mu_;
   std::condition_variable snapshotter_cv_;

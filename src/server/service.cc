@@ -125,7 +125,8 @@ OocqService::OocqService(ServiceOptions options)
   pool_ = std::make_unique<ThreadPool>(options_.max_in_flight);
   if (options_.catalog != nullptr) {
     RestoreFromCatalog();
-    options_.catalog->StartSnapshotter([this] { return DumpCatalog(); });
+    options_.catalog->StartSnapshotter([this] { return DumpCatalog(); },
+                                       [this] { return DecidedVerdicts(); });
   }
 }
 
@@ -611,6 +612,20 @@ std::vector<persist::Record> OocqService::DumpCatalog() {
     }
   }
   return records;
+}
+
+uint64_t OocqService::DecidedVerdicts() const {
+  std::vector<std::shared_ptr<Session>> sessions;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    for (const auto& [id, session] : sessions_) sessions.push_back(session);
+  }
+  uint64_t total = 0;
+  for (const std::shared_ptr<Session>& session : sessions) {
+    std::shared_lock<std::shared_mutex> lock(session->mu);
+    if (session->cache != nullptr) total += session->cache->decided();
+  }
+  return total;
 }
 
 Status OocqService::AdmitOne() {

@@ -336,6 +336,11 @@ class OocqService {
   /// Serializes the whole registry (+ cache verdicts worth warming) for
   /// the catalog's snapshotter. Called with mutations gated off.
   std::vector<persist::Record> DumpCatalog();
+  /// Containment verdicts the live sessions' caches decided: they reach
+  /// disk only through DumpCatalog, so the snapshotter watches this count
+  /// beside the WAL's. Sessions are created and dropped through logged
+  /// mutations, so the sum moves without a WAL record only by a decision.
+  uint64_t DecidedVerdicts() const;
   /// Appends one mutation to the catalog's WAL (no-op without a catalog).
   Status LogMutation(persist::Record record);
   /// Admission check; on success the caller owes one FinishOne().

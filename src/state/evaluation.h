@@ -18,16 +18,17 @@ namespace oocq {
 /// Guards and strategy knobs for the evaluator.
 struct EvalOptions {
   uint64_t max_assignments = 100'000'000;
-  /// Bind variables in ascending candidate-extent order (a greedy join
-  /// order) instead of declaration order. Answers are identical; the
-  /// bench_evaluation ablation measures the work saved.
+  /// Tree walker only: bind variables in ascending candidate-extent order
+  /// (a greedy join order) instead of declaration order. Answers are
+  /// identical; the bench_evaluation ablation measures the work saved.
+  /// The VM always runs the compiler's plan.
   bool reorder_variables = true;
   /// Compile the query to bytecode and run the register VM
   /// (src/compile/) instead of the tree walker. Answers and status codes
   /// are identical (pinned by tests/compile_differential_test.cc); any
-  /// unsupported construct falls back to the tree walker silently. The
-  /// fast path only engages when no EvalStats sink is passed — the stats
-  /// fields describe tree-walker work and keep their exact meaning.
+  /// unsupported construct falls back to the tree walker silently. An
+  /// EvalStats sink is filled by whichever of the two ran; set this false
+  /// to measure the tree walker itself.
   bool enable_compilation = true;
   /// Cooperative cancellation, polled at entry and every 4096 bindings by
   /// both the tree walker and the VM. Not owned; null disables polling.
@@ -40,9 +41,11 @@ struct EvalOptions {
 
 /// Work counters (bench E7 compares these between the original and the
 /// minimized query — the "variable search space" the paper minimizes).
+/// They describe the evaluator that actually ran: the VM's bindings and
+/// pools on the compiled path, the tree walker's otherwise.
 struct EvalStats {
-  /// Candidate objects enumerated across all variables (backtracking
-  /// extensions tried).
+  /// Candidate objects bound across all variables (backtracking
+  /// extensions tried); the same unit as the `eval/assignments` counter.
   uint64_t assignments_tried = 0;
   /// Sum over variables of the candidate extent sizes (the static search
   /// space the paper's cost metric models).

@@ -232,12 +232,6 @@ StatusOr<std::vector<Oid>> EvaluateIndexed(const StateIndex& index,
   if (options.cancel != nullptr) {
     OOCQ_RETURN_IF_ERROR(options.cancel->Check());
   }
-  if (stats == nullptr) {
-    bool taken = false;
-    StatusOr<std::vector<Oid>> compiled = eval_internal::TryCompiledEvaluate(
-        index.state(), &index, query, options, &taken);
-    if (taken) return compiled;
-  }
   IndexedSearch search(index, query, options, stats);
   return search.Run();
 }

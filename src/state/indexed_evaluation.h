@@ -31,6 +31,11 @@ struct IndexedEvalStats {
 /// is purely an access-path optimization. Variables bind most-selective
 /// first (greedy on the initial extent sizes, preferring variables with a
 /// binding atom to a bound variable).
+///
+/// Always interpreted: EvalOptions::enable_compilation and
+/// EvalOptions::program are ignored. It shares no code with the bytecode
+/// VM, which makes it the compilation-off oracle for states too large
+/// for the tree walker's extent product.
 StatusOr<std::vector<Oid>> EvaluateIndexed(const StateIndex& index,
                                            const ConjunctiveQuery& query,
                                            const EvalOptions& options = {},

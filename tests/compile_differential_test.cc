@@ -1,7 +1,8 @@
 // Differential property suite pinning the compiled paths to the
-// interpreters: for ≥1000 random (query, state) pairs the bytecode VM
-// must produce exactly the answers and status codes of the tree walker,
-// on both Evaluate and EvaluateIndexed — including the budget-exhaustion
+// interpreters: for ≥1000 random (query, state) pairs the bytecode VM,
+// the tree walker and the interpreted index-nested-loop evaluator
+// (EvaluateIndexed) must produce exactly the same answers and status
+// codes — and the VM matches the walker on the budget-exhaustion
 // and cancellation legs — and the compiled Thm 3.1 subset scan must
 // agree with the interpreted scan on random containment pairs. Labeled
 // `concurrency` so the TSan CI job runs it.
@@ -73,14 +74,18 @@ void CompareOnce(const Schema& schema, const State& state,
         << QueryToString(schema, query);
   }
 
-  // The indexed evaluator's compiled fast path must agree too. (Answer
-  // sets are identical across all four paths; only statuses may differ
-  // between walkers when a budget trips, so compare the indexed pair on
-  // the ok leg only.)
-  StatusOr<std::vector<Oid>> indexed_vm = EvaluateIndexed(index, query, compiled);
+  // The interpreted index-nested-loop evaluator is the third leg: it
+  // shares no code with the VM and ignores enable_compilation.
+  StatusOr<std::vector<Oid>> indexed = EvaluateIndexed(index, query, compiled);
+  ASSERT_EQ(walker.ok(), indexed.ok())
+      << QueryToString(schema, query) << "\nwalker: "
+      << walker.status().ToString()
+      << "\nindexed: " << indexed.status().ToString();
   if (walker.ok()) {
-    ASSERT_TRUE(indexed_vm.ok()) << indexed_vm.status().ToString();
-    EXPECT_EQ(*walker, *indexed_vm) << QueryToString(schema, query);
+    EXPECT_EQ(*walker, *indexed) << QueryToString(schema, query);
+  } else {
+    EXPECT_EQ(walker.status().code(), indexed.status().code())
+        << QueryToString(schema, query);
   }
 }
 

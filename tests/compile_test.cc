@@ -1,9 +1,10 @@
 // Unit tests for the query-compilation subsystem (src/compile/): program
-// structure the compiler emits, VM semantics against the tree walker's
-// 3-valued ground truth, budget/cancellation status parity, the compiled
-// Thm 3.1 subset scan, and the session ProgramCache — including the
-// never-memoize / never-persist contract for cancelled compiled scans
-// (mirroring containment_cache_concurrency_test.cc).
+// structure the compiler emits, plans that do not depend on metrics
+// history, VM semantics against the tree walker's 3-valued ground truth,
+// EvalStats taken from the path that ran, budget/cancellation status
+// parity, the compiled Thm 3.1 subset scan, and the session ProgramCache —
+// including the never-memoize / never-persist contract for cancelled
+// compiled scans (mirroring containment_cache_concurrency_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -17,9 +18,9 @@
 #include "core/containment.h"
 #include "core/containment_cache.h"
 #include "state/evaluation.h"
-#include "state/index.h"
-#include "state/indexed_evaluation.h"
 #include "support/cancellation.h"
+#include "support/failpoint.h"
+#include "support/metrics.h"
 #include "test_util.h"
 
 namespace oocq {
@@ -119,6 +120,43 @@ TEST_F(CompileTest, SlotLoadsAreHoistedOncePerOwner) {
   EXPECT_EQ(loads, 1u) << program.DebugString();
 }
 
+TEST_F(CompileTest, PlanDoesNotDependOnMetricsHistory) {
+  // Every x.S holds exactly x.A, so on u's level the class test always
+  // passes and `u != x.A` always fails: observed pass rates would rank
+  // the inequality first. The plan must stay the static one, with or
+  // without a metrics registry that saw many executions.
+  const std::string text =
+      "{ x | exists u (x in C & u in E & u in x.S & u != x.A) }";
+  for (int i = 0; i < 20; ++i) {
+    Oid c = *state_.AddObject(c_);
+    Oid e = *state_.AddObject(e_);
+    OOCQ_ASSERT_OK(state_.SetAttribute(c, "A", Value::Ref(e)));
+    OOCQ_ASSERT_OK(state_.SetAttribute(c, "S", Value::Set({e})));
+  }
+  compile::CompiledQuery program = MustCompile(text);
+  ASSERT_EQ(program.levels.size(), 2u);
+  const std::vector<compile::Op>& tests = program.levels[1].tests;
+  ASSERT_EQ(tests.size(), 2u) << program.DebugString();
+  EXPECT_EQ(tests[0].code, compile::OpCode::kTestClass);
+  EXPECT_EQ(tests[1].code, compile::OpCode::kTestNeVarSlot);
+  const std::string plan = program.DebugString();
+
+  MetricsRegistry registry;
+  {
+    MetricsScope scope(&registry);
+    ASSERT_TRUE(scope.active());
+    for (int run = 0; run < 50; ++run) {
+      StatusOr<std::vector<Oid>> answers =
+          compile::ExecuteCompiled(program, state_);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      EXPECT_TRUE(answers->empty());
+    }
+    EXPECT_EQ(registry.CounterValue("compile/execs"), 50u);
+    EXPECT_EQ(MustCompile(text).DebugString(), plan);
+  }
+  EXPECT_EQ(MustCompile(text).DebugString(), plan);
+}
+
 // ---- VM semantics vs. the tree walker ---------------------------------
 
 TEST_F(CompileTest, VmMatchesWalkerOnNullSemantics) {
@@ -146,22 +184,6 @@ TEST_F(CompileTest, VmMatchesWalkerOnNullSemantics) {
   BothPaths("{ x | exists u (x in C & u in E & x.A != u) }");
 }
 
-TEST_F(CompileTest, VmMatchesWalkerWithIndex) {
-  Oid c1 = *state_.AddObject(c_);
-  Oid e1 = *state_.AddObject(e_);
-  OOCQ_ASSERT_OK(state_.SetAttribute(c1, "A", Value::Ref(e1)));
-  StateIndex index(state_);
-
-  ConjunctiveQuery query = MustParseQuery(
-      schema_, "{ x | exists u (x in C & u in E & u = x.A) }");
-  compile::CompiledQuery program = MustCompile(
-      "{ x | exists u (x in C & u in E & u = x.A) }");
-  StatusOr<std::vector<Oid>> with_index =
-      compile::ExecuteCompiled(program, state_, &index);
-  ASSERT_TRUE(with_index.ok()) << with_index.status().ToString();
-  EXPECT_EQ(*with_index, (std::vector<Oid>{c1}));
-}
-
 TEST_F(CompileTest, ConstantAtomsMatchInternedPayloadsExactly) {
   Schema schema = MustParseSchema(R"(
 schema K { class C { N: Int; } })");
@@ -186,6 +208,42 @@ schema K { class C { N: Int; } })");
   ASSERT_TRUE(vm.ok());
   EXPECT_EQ(*walker, *vm);
   EXPECT_EQ(vm->size(), 1u);
+}
+
+TEST_F(CompileTest, EvalStatsComeFromThePathThatRan) {
+  for (int i = 0; i < 5; ++i) *state_.AddObject(e_);
+  ConjunctiveQuery query =
+      MustParseQuery(schema_, "{ x | exists y (x in E & y in E & x != y) }");
+  MetricsRegistry registry;
+  MetricsScope scope(&registry);
+  ASSERT_TRUE(scope.active());
+
+  // A stats sink no longer diverts Evaluate from the VM: the one call
+  // executes one program, and its counters are that execution's.
+  EvalStats compiled;
+  StatusOr<std::vector<Oid>> answers = Evaluate(state_, query, {}, &compiled);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 5u);
+  EXPECT_EQ(registry.CounterValue("compile/execs"), 1u);
+  EXPECT_EQ(compiled.assignments_tried,
+            registry.CounterValue("eval/assignments"));
+  EXPECT_EQ(compiled.candidate_pool, 10u);  // 5 + 5
+
+  // The compile/exec failpoint forces the tree-walker fallback, which
+  // still fills the sink with its own work.
+  OOCQ_ASSERT_OK(Failpoints::Configure("compile/exec=error"));
+  const uint64_t before = registry.CounterValue("eval/assignments");
+  EvalStats fallback;
+  StatusOr<std::vector<Oid>> walked = Evaluate(state_, query, {}, &fallback);
+  Failpoints::Reset();
+  ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+  EXPECT_EQ(*walked, *answers);
+  EXPECT_EQ(registry.CounterValue("compile/execs"), 1u);
+  EXPECT_EQ(registry.CounterValue("compile/bailouts"), 1u);
+  EXPECT_GT(fallback.assignments_tried, 0u);
+  EXPECT_EQ(fallback.assignments_tried,
+            registry.CounterValue("eval/assignments") - before);
+  EXPECT_EQ(fallback.candidate_pool, 10u);
 }
 
 // ---- Status parity: budgets and cancellation --------------------------
@@ -231,7 +289,7 @@ TEST_F(CompileTest, CancelledExecutionIsRetryableDeadlineExceeded) {
   compile::ExecOptions options;
   options.cancel = &expired;
   StatusOr<std::vector<Oid>> result =
-      compile::ExecuteCompiled(program, state_, nullptr, options);
+      compile::ExecuteCompiled(program, state_, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(IsRetryable(result.status().code()));

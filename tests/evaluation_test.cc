@@ -191,9 +191,13 @@ TEST_F(EvaluationTest, JoinOrderDoesNotChangeAnswers) {
   OOCQ_ASSERT_OK(state_.SetAttribute(c1, "S", Value::Set({e_target})));
   ConjunctiveQuery query = MustParseQuery(
       schema_, "{ u | exists x (u in E & x in C & u in x.S) }");
+  // reorder_variables shapes the tree walker's binding order; the VM
+  // runs the compiler's plan either way.
   EvalOptions ordered;
+  ordered.enable_compilation = false;
   ordered.reorder_variables = true;
   EvalOptions declared;
+  declared.enable_compilation = false;
   declared.reorder_variables = false;
   EvalStats ordered_stats, declared_stats;
   std::vector<Oid> a = *Evaluate(state_, query, ordered, &ordered_stats);
@@ -228,9 +232,11 @@ TEST_F(EvaluationTest, JoinOrderPrefersConnectedVariables) {
       "{ u | exists w exists x (u in E & w in E & x in C & u in x.S & "
       "w = x.A) }");
   EvalStats ordered, declared;
-  EvalOptions no_reorder;
+  EvalOptions walker;
+  walker.enable_compilation = false;
+  EvalOptions no_reorder = walker;
   no_reorder.reorder_variables = false;
-  std::vector<Oid> a = *Evaluate(state_, query, {}, &ordered);
+  std::vector<Oid> a = *Evaluate(state_, query, walker, &ordered);
   std::vector<Oid> b = *Evaluate(state_, query, no_reorder, &declared);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.size(), cs.size());  // One member per C object.

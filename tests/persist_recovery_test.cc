@@ -48,6 +48,21 @@ std::shared_ptr<DurableCatalog> MustOpen(DurableCatalogOptions options) {
                       : nullptr;
 }
 
+/// What a kill -9 leaves behind: the data dir's files as they are, copied
+/// while the service that owns them is still live.
+std::string CrashCopy(const std::string& dir, const std::string& name) {
+  const std::string copy = FreshDir(name);
+  StatusOr<std::vector<std::string>> names = ListDir(dir);
+  EXPECT_TRUE(names.ok());
+  if (!names.ok()) return copy;
+  for (const std::string& file : *names) {
+    StatusOr<std::string> contents = ReadFileToString(dir + "/" + file);
+    if (!contents.ok()) continue;  // a temp file renamed away meanwhile
+    EXPECT_TRUE(WriteFileDurable(copy + "/" + file, *contents).ok());
+  }
+  return copy;
+}
+
 Record DefineRecord(int i) {
   Record record;
   record.type = RecordType::kDefineQuery;
@@ -240,6 +255,83 @@ TEST(ServicePersistenceTest, BackgroundSnapshotterCompactsTheWal) {
   const uint64_t seq_after_first = persist::LatestSnapshotSeq(dir);
   std::this_thread::sleep_for(std::chrono::milliseconds(1200));
   EXPECT_EQ(persist::LatestSnapshotSeq(dir), seq_after_first);
+}
+
+// A containment verdict reaches disk only through a snapshot. A cadence
+// tick after a verdict settled, with no WAL append since the last
+// snapshot, must still take one; a tick with neither writes nothing.
+TEST(ServicePersistenceTest, TickAfterVerdictSnapshotsWithoutWalAppend) {
+  const std::string dir = FreshDir("verdict_tick");
+  DurableCatalogOptions catalog_options;
+  catalog_options.data_dir = dir;
+  catalog_options.snapshot_interval_s = 1;
+  catalog_options.group_commit_window_us = 0;
+
+  ServiceOptions service_options;
+  service_options.metrics = false;
+  service_options.catalog = MustOpen(catalog_options);
+  ASSERT_NE(service_options.catalog, nullptr);
+  DurableCatalog* catalog = service_options.catalog.get();
+  OocqService service(service_options);
+  StatusOr<std::string> sid = service.CreateSession(kVehicleRentalSchema);
+  OOCQ_ASSERT_OK(sid.status());
+  OOCQ_ASSERT_OK(service.DefineQuery(*sid, "autos", "{ x | x in Auto }"));
+  OOCQ_ASSERT_OK(
+      service.DefineQuery(*sid, "vehicles", "{ x | x in Vehicle }"));
+
+  // One cadence snapshot subsumes every record: the WAL is empty again.
+  for (int i = 0; i < 50 && (catalog->snapshots_taken() == 0 ||
+                             catalog->wal()->synced_seq() != 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  ASSERT_GE(catalog->snapshots_taken(), 1u);
+  ASSERT_EQ(catalog->wal()->synced_seq(), 0u);
+  const uint64_t snapshots_before = catalog->snapshots_taken();
+
+  Request contain;
+  contain.kind = RequestKind::kContained;
+  contain.session_id = *sid;
+  contain.query = "@autos";
+  contain.query2 = "@vehicles";
+  Response decided = service.Execute(contain);
+  OOCQ_ASSERT_OK(decided.status);
+  EXPECT_TRUE(decided.verdict);
+
+  // The next tick sees the new verdict although the WAL did not move.
+  for (int i = 0; i < 30 && catalog->snapshots_taken() == snapshots_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_GT(catalog->snapshots_taken(), snapshots_before);
+  const std::string crashed = CrashCopy(dir, "verdict_tick_crash");
+
+  // Nothing new since: the following tick writes nothing and leaves the
+  // WAL epoch where it was.
+  const uint64_t seq = persist::LatestSnapshotSeq(dir);
+  const uint64_t epoch = catalog->wal()->epoch();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  EXPECT_EQ(persist::LatestSnapshotSeq(dir), seq);
+  EXPECT_EQ(catalog->wal()->epoch(), epoch);
+
+  DurableCatalogOptions reopen;
+  reopen.data_dir = crashed;
+  reopen.snapshot_interval_s = 0;
+  std::shared_ptr<DurableCatalog> recovered = MustOpen(reopen);
+  ASSERT_NE(recovered, nullptr);
+  size_t verdicts = 0;
+  for (const Record& record : recovered->recovered()) {
+    if (record.type == RecordType::kCacheEntry) ++verdicts;
+  }
+  EXPECT_GE(verdicts, 1u);
+
+  ServiceOptions restarted_options;
+  restarted_options.metrics = false;
+  restarted_options.catalog = recovered;
+  OocqService restarted(restarted_options);
+  Response warm = restarted.Execute(contain);
+  OOCQ_ASSERT_OK(warm.status);
+  EXPECT_TRUE(warm.verdict);
 }
 
 TEST(ServicePersistenceTest, UnparsableRecoveredRecordIsSkippedNotFatal) {
