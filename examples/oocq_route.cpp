@@ -17,19 +17,12 @@
 // backend directly.
 //
 // A background prober sends HEALTH to every backend each
-// --health_interval_s and parses role=/readonly=/term= off the reply, so
-// the router knows who may accept writes — a read-only follower is
-// healthy but it is *not* a mutation target. Two fleet shapes fall out
-// of the same probe sweep:
-//
-//  - sharded (every backend a term-1 primary, no followers): the ring
-//    spreads sessions across all reachable backends, as before;
-//  - replicated (followers present, or any term > 1): mutations route
-//    only to the highest-term primary; dueling or stale primaries are
-//    actively fenced with REPL DEMOTE (replicate/fence.h); and with
-//    --read_from_followers, connections whose first verb is read-only
-//    (CONTAIN/EQUIV/UCONTAIN/MINIMIZE/SAT/EVAL/EXPLAIN) round-robin
-//    across caught-up followers.
+// --health_interval_s; replicate::PlanFleet turns the sweep into the
+// ring's writers (every primary of a sharded fleet, or the one winner of
+// a replicated fleet), the primaries to fence with REPL DEMOTE, and with
+// --read_from_followers the caught-up followers that serve connections
+// whose first verb is read-only (CONTAIN/EQUIV/UCONTAIN/MINIMIZE/SAT/
+// EVAL/EXPLAIN).
 //
 // A splice that sees the backend answer `ERR FAILED_PRECONDITION fenced
 // term=N` drops that reply and closes the connection instead of
@@ -53,7 +46,6 @@
 #include <vector>
 
 #include "flag_util.h"
-#include "replicate/fence.h"
 #include "replicate/peer.h"
 #include "replicate/ring.h"
 #include "server/event_server.h"
@@ -106,15 +98,11 @@ bool IsReadOnlyVerb(const std::string& verb) {
   return false;
 }
 
-/// The ring plus role/term state from the last probe sweep.
+/// The ring plus the read pool from the last probe sweep.
 class Router {
  public:
-  Router(const std::vector<std::string>& backends, uint32_t vnodes,
-         bool read_from_followers, uint64_t max_follower_lag)
-      : all_backends_(backends),
-        read_from_followers_(read_from_followers),
-        max_follower_lag_(max_follower_lag),
-        ring_(vnodes) {
+  Router(const std::vector<std::string>& backends, uint32_t vnodes)
+      : all_backends_(backends), ring_(vnodes) {
     // Until the first sweep reports, assume every backend is a writable
     // primary — the pre-replication shape — so cold-start routing works
     // even with probing disabled.
@@ -122,11 +110,11 @@ class Router {
   }
 
   /// The mutation target owning `key`; round-robin across ring nodes for
-  /// keyless connections. With `read_only` and --read_from_followers,
-  /// prefers the caught-up follower pool.
+  /// keyless connections. With `read_only`, prefers the caught-up
+  /// follower pool (non-empty only with --read_from_followers).
   std::string Pick(const std::string& key, bool read_only) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (read_only && read_from_followers_ && !read_pool_.empty()) {
+    if (read_only && !read_pool_.empty()) {
       return read_pool_[next_read_++ % read_pool_.size()];
     }
     if (!key.empty()) return ring_.Lookup(key);
@@ -135,57 +123,14 @@ class Router {
     return nodes[next_round_robin_++ % nodes.size()];
   }
 
-  /// Applies one probe sweep: ring membership, read pool, and the
-  /// fencing decision. Returns the stale/tied primaries to demote
-  /// (fencing itself happens outside the lock).
-  struct SweepPlan {
-    std::string winner;
-    uint64_t winner_term = 0;
-    std::vector<replicate::PeerStatus> to_fence;
-  };
-  SweepPlan ApplySweep(const std::vector<replicate::PeerStatus>& peers) {
-    SweepPlan plan;
+  /// Applies one probe sweep's plan (replicate::PlanFleet): ring
+  /// membership and read pool. Fencing happens outside the lock.
+  void ApplySweep(const std::vector<replicate::PeerStatus>& peers,
+                  const replicate::FleetPlan& plan) {
     std::lock_guard<std::mutex> lock(mu_);
-    bool replicated = false;
-    for (const replicate::PeerStatus& peer : peers) {
-      LogTransitionLocked(peer);
-      if (!peer.reachable) continue;
-      if (peer.role == "follower" || peer.fenced || peer.term > 1) {
-        replicated = true;
-      }
-    }
-    std::vector<std::string> writers;
-    plan.winner = replicate::PickWinner(peers);
-    if (replicated && !plan.winner.empty()) {
-      // Replicated fleet: exactly one mutation target — the highest-term
-      // primary — and every other writable primary is stale or a dueling
-      // loser to be fenced.
-      for (const replicate::PeerStatus& peer : peers) {
-        if (peer.address == plan.winner) plan.winner_term = peer.term;
-        if (peer.reachable && !peer.readonly && peer.address != plan.winner) {
-          plan.to_fence.push_back(peer);
-        }
-      }
-      writers.push_back(plan.winner);
-    } else {
-      // Sharded fleet (or nothing writable yet): spread sessions across
-      // every reachable writable backend, the pre-replication behavior.
-      plan.winner.clear();
-      for (const replicate::PeerStatus& peer : peers) {
-        if (peer.reachable && !peer.readonly) writers.push_back(peer.address);
-      }
-    }
-    SetRingLocked(writers);
-    read_pool_.clear();
-    if (read_from_followers_) {
-      for (const replicate::PeerStatus& peer : peers) {
-        if (peer.reachable && peer.role == "follower" && !peer.fenced &&
-            peer.repl_connected && peer.lag_records <= max_follower_lag_) {
-          read_pool_.push_back(peer.address);
-        }
-      }
-    }
-    return plan;
+    for (const replicate::PeerStatus& peer : peers) LogTransitionLocked(peer);
+    SetRingLocked(plan.writers);
+    read_pool_ = plan.read_pool;
   }
 
   /// Drops an unreachable backend mid-interval (a splice dial failed).
@@ -253,28 +198,25 @@ class Router {
   }
 
   void LogTransitionLocked(const replicate::PeerStatus& peer) {
-    auto it = last_seen_.find(peer.address);
-    const std::string role = peer.reachable ? peer.role : "unreachable";
-    if (it != last_seen_.end() &&
-        (it->second.first != role || it->second.second != peer.term)) {
+    const std::string seen =
+        (peer.reachable ? peer.role : std::string("unreachable")) +
+        " term=" + std::to_string(peer.term);
+    auto [it, first] = last_seen_.try_emplace(peer.address, seen);
+    if (!first && it->second != seen) {
       OOCQ_LOG(Info, "route")
           .Msg("backend role transition")
           .With("backend", peer.address)
-          .With("from_role", it->second.first)
-          .With("from_term", it->second.second)
-          .With("to_role", role)
-          .With("to_term", peer.term);
+          .With("from", it->second)
+          .With("to", seen);
+      it->second = seen;
     }
-    last_seen_[peer.address] = {role, peer.term};
   }
 
   const std::vector<std::string> all_backends_;
-  const bool read_from_followers_;
-  const uint64_t max_follower_lag_;
   std::mutex mu_;
   replicate::ConsistentHashRing ring_;
   std::vector<std::string> read_pool_;
-  std::map<std::string, std::pair<std::string, uint64_t>> last_seen_;
+  std::map<std::string, std::string> last_seen_;  // address -> "role term=N"
   size_t next_round_robin_ = 0;
   size_t next_read_ = 0;
 
@@ -376,16 +318,16 @@ void ServeClient(int client_fd, Router* router) {
 
 /// One prober sweep: HEALTH every backend, update routing state, fence
 /// stale/dueling primaries.
-void ProbeSweep(Router* router) {
+void ProbeSweep(Router* router, bool read_from_followers,
+                uint64_t max_follower_lag) {
   std::vector<replicate::PeerStatus> peers;
   for (const std::string& backend : router->all_backends()) {
     peers.push_back(replicate::ProbePeer(backend, /*timeout_ms=*/2000));
   }
-  Router::SweepPlan plan = router->ApplySweep(peers);
-  if (!plan.to_fence.empty()) {
-    (void)replicate::FenceStalePrimaries(peers, plan.winner, plan.winner_term,
-                                         /*timeout_ms=*/2000);
-  }
+  const replicate::FleetPlan plan =
+      replicate::PlanFleet(peers, read_from_followers, max_follower_lag);
+  router->ApplySweep(peers, plan);
+  (void)replicate::FenceStalePrimaries(plan, /*timeout_ms=*/2000);
 }
 
 }  // namespace
@@ -433,8 +375,7 @@ int main(int argc, char** argv) {
   }
   ::signal(SIGPIPE, SIG_IGN);
 
-  Router router(backends, static_cast<uint32_t>(vnodes), read_from_followers,
-                max_follower_lag);
+  Router router(backends, static_cast<uint32_t>(vnodes));
 
   uint16_t bound_port = 0;
   StatusOr<int> listener =
@@ -457,7 +398,7 @@ int main(int argc, char** argv) {
   if (health_interval_s > 0) {
     prober = std::thread([&] {
       while (!router.stopping()) {
-        ProbeSweep(&router);
+        ProbeSweep(&router, read_from_followers, max_follower_lag);
         router.WaitProbeInterval(health_interval_s * 1000);
       }
     });

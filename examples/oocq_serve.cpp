@@ -264,80 +264,6 @@ class StatsDumper {
   std::thread thread_;
 };
 
-/// Owns the node's replication tail across role changes. A node starts
-/// with at most one follower (--follow); when a higher-term primary
-/// fences this node (REPL DEMOTE carrying primary=HOST:PORT, or the
-/// SUBSCRIBE term handshake), the service's demotion handler lands here
-/// and the node rejoins the fleet as a follower of the named winner —
-/// same tail machinery, new target. The mutex serializes rejoins against
-/// each other and against shutdown.
-class RejoinCoordinator {
- public:
-  RejoinCoordinator(OocqService* service, uint32_t auto_promote_after_ms)
-      : service_(service), auto_promote_after_ms_(auto_promote_after_ms) {}
-
-  /// Installs the initial --follow tail (may be null for a primary).
-  void Adopt(std::unique_ptr<replicate::Follower> follower) {
-    std::lock_guard<std::mutex> lock(mu_);
-    follower_ = std::move(follower);
-    if (follower_) follower_->Start();
-  }
-
-  /// Demotion handler: fenced at `term`, told to follow `new_primary`.
-  /// An empty target means the demoter did not name a successor (tied
-  /// SUBSCRIBE handshake); the node stays fenced until a router sweep or
-  /// operator names one.
-  void OnDemoted(uint64_t term, const std::string& new_primary) {
-    if (new_primary.empty()) {
-      OOCQ_LOG(Warn, "serve")
-          .Msg("fenced without a named successor; staying read-only")
-          .With("term", term);
-      return;
-    }
-    std::string host;
-    uint16_t port = 0;
-    if (!replicate::SplitHostPort(new_primary, &host, &port)) {
-      OOCQ_LOG(Warn, "serve")
-          .Msg("fenced but successor address is malformed")
-          .With("term", term)
-          .With("primary", new_primary);
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shut_down_) return;
-    // The old tail (if any) has already left its loop — a fenced node is
-    // read-only again, but the loop exited at promotion time and a
-    // primary never had one. Stop() just joins and detaches the probe.
-    if (follower_) follower_->Stop();
-    follower_.reset();
-    replicate::FollowerOptions options;
-    options.host = host;
-    options.port = port;
-    options.auto_promote_after_ms = auto_promote_after_ms_;
-    follower_ = std::make_unique<replicate::Follower>(service_, options);
-    follower_->Start();
-    OOCQ_LOG(Info, "serve")
-        .Msg("fenced; rejoining as follower of the new primary")
-        .With("term", term)
-        .With("primary", new_primary);
-  }
-
-  /// Stops whichever tail is current and refuses further rejoins. Call
-  /// before the service drains.
-  void Shutdown() {
-    std::lock_guard<std::mutex> lock(mu_);
-    shut_down_ = true;
-    follower_.reset();  // Stop() runs in the destructor
-  }
-
- private:
-  OocqService* const service_;
-  const uint32_t auto_promote_after_ms_;
-  std::mutex mu_;
-  bool shut_down_ = false;
-  std::unique_ptr<replicate::Follower> follower_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -435,17 +361,11 @@ int main(int argc, char** argv) {
     return flags.UsageError();
   }
   std::string follow_host;
-  uint64_t follow_port = 0;
-  if (!follow.empty()) {
-    size_t colon = follow.rfind(':');
-    if (colon != std::string::npos) {
-      follow_host = follow.substr(0, colon);
-      follow_port = std::strtoull(follow.c_str() + colon + 1, nullptr, 10);
-    }
-    if (follow_host.empty() || follow_port == 0 || follow_port > 65535) {
-      std::fprintf(stderr, "error: --follow must be HOST:PORT\n");
-      return flags.UsageError();
-    }
+  uint16_t follow_port = 0;
+  if (!follow.empty() &&
+      !replicate::SplitHostPort(follow, &follow_host, &follow_port)) {
+    std::fprintf(stderr, "error: --follow must be HOST:PORT\n");
+    return flags.UsageError();
   }
   LogConfig log_config;
   if (!ParseLogLevel(log_level, &log_config.level)) {
@@ -503,28 +423,15 @@ int main(int argc, char** argv) {
   service_options.catalog = open_catalog();
   auto service = std::make_unique<OocqService>(service_options);
 
-  // Role changes flow through the coordinator: the initial --follow tail
-  // starts here, and a demotion (split-brain fencing, docs/replication.md)
-  // rejoins this node as a follower of the named winner.
-  RejoinCoordinator coordinator(service.get(),
-                                static_cast<uint32_t>(promote_after_ms));
-  service->SetDemotionHandler(
-      [&coordinator](uint64_t term, const std::string& new_primary) {
-        coordinator.OnDemoted(term, new_primary);
-      });
-
-  // The replication tail, when this node is a follower. Started after the
-  // server below so clients can probe REPL STATUS during the initial
-  // sync; stopped before the service dies so no apply races teardown.
-  std::unique_ptr<replicate::Follower> follower;
+  // Role changes flow through the rejoiner: the initial --follow tail
+  // starts once the server below is up (so clients can probe REPL STATUS
+  // during the initial sync), and a demotion (split-brain fencing,
+  // docs/replication.md) rejoins this node as a follower of the named
+  // winner. It stops its tail before the service drains.
+  replicate::FollowerOptions tail_options;
+  tail_options.auto_promote_after_ms = static_cast<uint32_t>(promote_after_ms);
+  replicate::Rejoiner rejoiner(service.get(), tail_options);
   if (!follow.empty()) {
-    replicate::FollowerOptions follower_options;
-    follower_options.host = follow_host;
-    follower_options.port = static_cast<uint16_t>(follow_port);
-    follower_options.auto_promote_after_ms =
-        static_cast<uint32_t>(promote_after_ms);
-    follower =
-        std::make_unique<replicate::Follower>(service.get(), follower_options);
     OOCQ_LOG(Info, "serve")
         .Msg("starting as replication follower")
         .With("primary", follow)
@@ -550,7 +457,7 @@ int main(int argc, char** argv) {
             static_cast<uint64_t>(service_options.engine.parallel.num_threads))
       .With("deadline_ms", deadline_ms)
       .With("data_dir", data_dir);
-  coordinator.Adopt(std::move(follower));
+  if (!follow.empty()) (void)rejoiner.Follow(follow);
 
   std::optional<Watchdog> watchdog;
   watchdog.emplace(service.get(), watchdog_s);
@@ -559,7 +466,7 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   if (smoke) {
-    coordinator.Shutdown();  // --smoke and --follow do not combine
+    rejoiner.Shutdown();  // --smoke and --follow do not combine
     bool ok = RunSmokeConversation(server->port());
     server->Stop();
     server.reset();
@@ -608,7 +515,7 @@ int main(int argc, char** argv) {
     server->Stop();  // graceful: in-flight requests finish and respond
     if (want_metrics) std::printf("%s", service->StatsText().c_str());
     server.reset();
-    coordinator.Shutdown();  // stops the tail before the service drains
+    rejoiner.Shutdown();  // stops the tail before the service drains
     stats_dumper.reset();  // final dump happens before the service dies
     watchdog.reset();
     service.reset();  // drains, then final catalog snapshot

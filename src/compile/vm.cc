@@ -36,12 +36,8 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
   }
 
   // ---- Per-execution state specialization -------------------------------
-  // Objects grouped by terminal class. One O(N) pass replaces the tree
-  // walker's per-variable extent scans.
-  std::vector<std::vector<Oid>> by_class(schema.num_classes());
-  for (Oid oid = 0; oid < state.num_objects(); ++oid) {
-    by_class[state.class_of(oid)].push_back(oid);
-  }
+  // Candidate lists are read from the State's extent table
+  // (State::TerminalExtent: each terminal class's oids, ascending).
 
   // The terminal classes of a class disjunction, deduplicated (two classes
   // of one disjunction may share descendants; terminal classes partition
@@ -71,7 +67,7 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
       pool = state.num_objects();
     } else {
       for (ClassId t : terminals_of(program.range_classes[v])) {
-        pool += by_class[t].size();
+        pool += state.TerminalExtent(t).size();
       }
     }
     if (stats != nullptr) stats->candidate_pool += pool;
@@ -94,12 +90,12 @@ StatusOr<std::vector<Oid>> ExecuteCompiled(const CompiledQuery& program,
     } else if (gen.code == OpCode::kScanExtent) {
       const std::vector<ClassId>& terminals = terminals_of(gen.classes);
       if (terminals.size() == 1) {
-        const std::vector<Oid>& extent = by_class[terminals[0]];
+        const std::vector<Oid>& extent = state.TerminalExtent(terminals[0]);
         levels[d].data = extent.data();
         levels[d].size = extent.size();
       } else {
         for (ClassId t : terminals) {
-          const std::vector<Oid>& extent = by_class[t];
+          const std::vector<Oid>& extent = state.TerminalExtent(t);
           owned[d].insert(owned[d].end(), extent.begin(), extent.end());
         }
         levels[d].data = owned[d].data();

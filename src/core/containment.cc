@@ -25,8 +25,6 @@ namespace oocq {
 
 namespace {
 
-constexpr uint64_t kNoEvent = ~uint64_t{0};
-
 /// What one Contained() call decided structurally: which Thm 3.1
 /// specialization dispatch fired, and the largest membership pool |T| it
 /// enumerated subsets of. Deterministic — the dispatch depends only on
@@ -166,10 +164,6 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
 
   // Checks the Thm 3.1 condition against one consistent augmentation
   // Q1&S, enumerating the subsets W of T when Q2 has non-membership atoms.
-  // The subsets are independent, so the 2^|T| masks are scanned in chunks
-  // that fan out over options.parallel; the verdict is resolved as the
-  // smallest decisive mask in enumeration order, which is exactly what
-  // the serial scan reports.
   auto check_augmentation =
       [&](const ConjunctiveQuery& base) -> StatusOr<bool> {
     // Cancellation is polled once per augmentation here and once per
@@ -213,126 +207,59 @@ StatusOr<bool> ContainedImpl(const Schema& schema, const ConjunctiveQuery& q1,
       OOCQ_METRIC_ADD("compile/mask_fallbacks", 1);
     }
 
-    // A chunk's outcome: the first mask in its range that decided the
-    // test (condition violated, or an error such as ResourceExhausted),
-    // plus the work counters for the masks it actually scanned.
-    struct ChunkResult {
-      uint64_t event_mask = kNoEvent;
-      bool is_error = false;
-      Status error = Status::Ok();
-      ContainmentStats stats;
-    };
-    std::atomic<uint64_t> first_event{kNoEvent};
-
-    auto scan_masks = [&](uint64_t begin, uint64_t end) -> ChunkResult {
-      ChunkResult result;
-      // Masks the chunk leaves undecided — behind an abort, after a
-      // decisive refutation, or unsatisfiable — count as skipped, so
-      // membership_subsets keeps meaning "masks actually tested".
-      uint64_t& skipped = result.stats.membership_subsets_skipped;
-      if (Status chaos = Failpoints::Check("core/subset_scan"); !chaos.ok()) {
-        result.event_mask = begin;
-        result.is_error = true;
-        result.error = std::move(chaos);
-        skipped += end - begin;
-        AtomicMin(first_event, begin);
-        return result;
+    // Interpreted per-mask scan, in mask order. The first decisive mask
+    // settles the verdict: an abort before it is tested (failpoint,
+    // cancel, budget), or a tested mask that errs or violates the
+    // condition. Masks never tested — behind the decisive one, or
+    // unsatisfiable — count as skipped, so membership_subsets keeps
+    // meaning "masks actually tested".
+    ContainmentStats scan_stats;
+    uint64_t& skipped = scan_stats.membership_subsets_skipped;
+    Status live = Failpoints::Check("core/subset_scan");
+    StatusOr<bool> verdict = true;
+    for (uint64_t mask = 0; mask < total; ++mask) {
+      if (live.ok() && options.cancel != nullptr) {
+        live = options.cancel->Check();
       }
-      for (uint64_t mask = begin; mask < end; ++mask) {
-        // A smaller decisive mask already settles the answer.
-        if (mask > first_event.load(std::memory_order_acquire)) {
-          skipped += end - mask;
-          break;
-        }
-        if (options.cancel != nullptr) {
-          Status live = options.cancel->Check();
-          if (!live.ok()) {
-            result.event_mask = mask;
-            result.is_error = true;
-            result.error = std::move(live);
-            skipped += end - mask;
-            AtomicMin(first_event, mask);
-            break;
-          }
-        }
-        if (options.budget != nullptr) {
-          Status charged = options.budget->ChargeSubsetWork(1);
-          if (!charged.ok()) {
-            result.event_mask = mask;
-            result.is_error = true;
-            result.error = std::move(charged);
-            skipped += end - mask;
-            AtomicMin(first_event, mask);
-            break;
-          }
-        }
-        ConjunctiveQuery target = base;
-        for (size_t i = 0; i < t_size; ++i) {
-          if (mask & (uint64_t{1} << i)) target.AddAtom(membership_pool[i]);
-        }
-        if (!CheckSatisfiable(schema, target).satisfiable) {
-          ++skipped;
-          continue;
-        }
-        ++result.stats.membership_subsets;
-        ++result.stats.mapping_searches;
-        StatusOr<QueryAnalysis> analysis = QueryAnalysis::Create(schema, target);
-        if (!analysis.ok()) {
-          result.event_mask = mask;
-          result.is_error = true;
-          result.error = analysis.status();
-          skipped += end - mask - 1;
-          AtomicMin(first_event, mask);
-          break;
-        }
+      if (live.ok() && options.budget != nullptr) {
+        live = options.budget->ChargeSubsetWork(1);
+      }
+      if (!live.ok()) {
+        skipped += total - mask;
+        verdict = std::move(live);
+        break;
+      }
+      ConjunctiveQuery target = base;
+      for (size_t i = 0; i < t_size; ++i) {
+        if (mask & (uint64_t{1} << i)) target.AddAtom(membership_pool[i]);
+      }
+      if (!CheckSatisfiable(schema, target).satisfiable) {
+        ++skipped;
+        continue;
+      }
+      ++scan_stats.membership_subsets;
+      ++scan_stats.mapping_searches;
+      StatusOr<QueryAnalysis> analysis = QueryAnalysis::Create(schema, target);
+      if (analysis.ok()) {
         MappingResult mapping =
             FindNonContradictoryMapping(schema, n2, *analysis, constraints);
-        result.stats.mapping_steps += mapping.steps;
+        scan_stats.mapping_steps += mapping.steps;
         if (mapping.exhausted) {
-          result.event_mask = mask;
-          result.is_error = true;
-          result.error = Status::ResourceExhausted(
+          verdict = Status::ResourceExhausted(
               "mapping search exceeded ContainmentOptions::max_mapping_steps");
-          skipped += end - mask - 1;
-          AtomicMin(first_event, mask);
-          break;
+        } else if (!mapping.found()) {
+          verdict = false;
         }
-        if (!mapping.found()) {
-          result.event_mask = mask;
-          skipped += end - mask - 1;
-          AtomicMin(first_event, mask);
-          break;
-        }
+      } else {
+        verdict = analysis.status();
       }
-      return result;
-    };
-
-    uint64_t num_chunks = 1;
-    const uint32_t threads = EffectiveThreads(options.parallel);
-    if (threads > 1 && !InParallelRegion() &&
-        total >= options.parallel.min_parallel_items) {
-      // Over-decompose so uneven mapping searches balance across workers.
-      num_chunks = std::min<uint64_t>(total, uint64_t{threads} * 8);
+      if (!verdict.ok() || !*verdict) {
+        skipped += total - mask - 1;
+        break;
+      }
     }
-    const uint64_t chunk_size = (total + num_chunks - 1) / num_chunks;
-    OOCQ_ASSIGN_OR_RETURN(
-        std::vector<ChunkResult> chunks,
-        (ParallelMap<ChunkResult>(
-            options.parallel, static_cast<size_t>(num_chunks),
-            [&](size_t c) -> StatusOr<ChunkResult> {
-              const uint64_t begin = static_cast<uint64_t>(c) * chunk_size;
-              const uint64_t end = std::min<uint64_t>(total, begin + chunk_size);
-              return scan_masks(begin, end);
-            })));
-    for (const ChunkResult& chunk : chunks) {
-      if (stats != nullptr) stats->Add(chunk.stats);
-    }
-    for (const ChunkResult& chunk : chunks) {
-      if (chunk.event_mask == kNoEvent) continue;
-      if (chunk.is_error) return chunk.error;
-      return false;
-    }
-    return true;
+    if (stats != nullptr) stats->Add(scan_stats);
+    return verdict;
   };
 
   if (!rhs_has_inequality) {

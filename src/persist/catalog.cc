@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "replicate/role.h"
 #include "support/file.h"
 #include "support/metrics.h"
 #include "support/status_macros.h"
@@ -131,12 +132,11 @@ Status DurableCatalog::Log(const Record& record) {
 Status DurableCatalog::SetTerm(uint64_t term) {
   std::lock_guard<std::mutex> lock(term_mu_);
   const uint64_t current = term_.load(std::memory_order_acquire);
-  if (term < current) {
+  if (!replicate::TermMayMove(current, term)) {
     return Status::InvalidArgument(
         "replication term must be monotonic: have " + std::to_string(current) +
         ", asked to set " + std::to_string(term));
   }
-  if (term == current) return Status::Ok();
   // Durable before visible: a crash between the two leaves a higher
   // on-disk term than in memory, which is safe (terms only ratchet up);
   // the reverse order could ack writes under a term that does not

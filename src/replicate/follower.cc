@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "replicate/peer.h"
+#include "replicate/role.h"
 #include "replicate/wire.h"
 #include "support/failpoint.h"
 #include "support/log.h"
@@ -100,16 +101,14 @@ void Follower::Loop() {
         .With("error", run.ToString())
         .With("backoff_ms", backoff_ms);
     service_->metrics_registry()->Add("repl/reconnects", 1);
-    if (options_.auto_promote_after_ms > 0 && last_contact != 0 &&
-        NowMs() - last_contact >=
-            static_cast<int64_t>(options_.auto_promote_after_ms)) {
-      OOCQ_LOG(Warn, "repl")
-          .Msg("primary unreachable past threshold; self-promoting")
-          .With("threshold_ms",
-                static_cast<uint64_t>(options_.auto_promote_after_ms));
-      (void)service_->Promote();
-      break;
-    }
+    // Past the threshold of silence the machine promotes this node,
+    // which ends the tail (ShouldRun() turns false).
+    (void)service_->ApplyRoleEvent(
+        {.kind = RoleEventKind::kPrimarySilent,
+         .silent_ms = last_contact == 0
+                          ? 0
+                          : static_cast<uint64_t>(NowMs() - last_contact),
+         .promote_after_ms = options_.auto_promote_after_ms});
     // Backoff in small slices so Stop() and promotion stay responsive.
     Clock::time_point wake =
         Clock::now() + std::chrono::milliseconds(Jittered(backoff_ms));
@@ -188,16 +187,12 @@ Status Follower::Resync(int fd, std::string* buffer) {
   if (!ReplyOk(reply)) {
     return Status::Internal("REPL STATE refused: " + reply.status);
   }
+  // A primary behind the write authority we already know about is
+  // refused (Unavailable: drop the connection and back off).
   const uint64_t primary_term = FieldUint(reply.status, "term");
-  if (primary_term != 0 && primary_term < service_->term()) {
-    // This "primary" is behind the write authority we already know
-    // about — refuse to clone its forked history. Not FAILED_PRECONDITION
-    // (that would just resync again): drop the connection and back off.
-    return Status::Unavailable(
-        "primary is stale: dump carries term " +
-        std::to_string(primary_term) + " but this node knows term " +
-        std::to_string(service_->term()));
-  }
+  OOCQ_RETURN_IF_ERROR(
+      service_->ApplyRoleEvent({RoleEventKind::kPrimaryTerm, primary_term})
+          .status());
   // Stale local sessions (missed drops while disconnected, or a cold
   // local catalog diverged from the primary) go first; the dump then
   // rebuilds the registry through the same idempotent path. Both the
@@ -262,12 +257,9 @@ Status Follower::PollOnce(int fd, std::string* buffer) {
     return Status::Internal("REPL SUBSCRIBE refused: " + reply.status);
   }
   const uint64_t primary_term = FieldUint(reply.status, "term");
-  if (primary_term != 0 && primary_term < service_->term()) {
-    return Status::Unavailable(
-        "primary is stale: batch carries term " +
-        std::to_string(primary_term) + " but this node knows term " +
-        std::to_string(service_->term()));
-  }
+  OOCQ_RETURN_IF_ERROR(
+      service_->ApplyRoleEvent({RoleEventKind::kPrimaryTerm, primary_term})
+          .status());
   size_t skipped = 0;
   for (const std::string& line : reply.payload) {
     StatusOr<ShippedRecord> shipped = DecodeShippedLine(line);
@@ -292,6 +284,46 @@ Status Follower::PollOnce(int fd, std::string* buffer) {
   last_contact_ms_.store(NowMs(), std::memory_order_relaxed);
   service_->metrics_registry()->Add("repl/polls", 1);
   return Status::Ok();
+}
+
+Rejoiner::Rejoiner(server::OocqService* service, FollowerOptions tail)
+    : service_(service), tail_(std::move(tail)) {
+  service_->SetDemotionHandler(
+      [this](uint64_t term, const std::string& new_primary) {
+        Status rejoined =
+            new_primary.empty()
+                ? Status::NotFound("no successor named; staying read-only")
+                : Follow(new_primary);
+        OOCQ_LOG(Info, "repl")
+            .Msg("fenced; rejoining as follower of the new primary")
+            .With("term", term)
+            .With("primary", new_primary)
+            .With("status", rejoined.ToString());
+      });
+}
+
+Status Rejoiner::Follow(const std::string& primary) {
+  FollowerOptions options = tail_;
+  if (!SplitHostPort(primary, &options.host, &options.port)) {
+    return Status::InvalidArgument("primary '" + primary +
+                                   "' is not HOST:PORT");
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shut_down_) return Status::Ok();
+  // A fenced node was a primary, whose tail (if any) left its loop at
+  // promotion; resetting joins it and detaches its probe.
+  follower_.reset();
+  follower_ = std::make_unique<Follower>(service_, std::move(options));
+  follower_->Start();
+  return Status::Ok();
+}
+
+void Rejoiner::Shutdown() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shut_down_) return;
+  shut_down_ = true;
+  service_->SetDemotionHandler(nullptr);
+  follower_.reset();  // Stop() runs in the destructor
 }
 
 }  // namespace oocq::replicate

@@ -18,6 +18,7 @@
 /// Run() returns once the service stops being read-only.
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -118,6 +119,35 @@ class Follower {
   std::atomic<uint64_t> lag_records_{0};
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> resyncs_{0};
+};
+
+/// Owns a node's replication tail across role changes: the initial
+/// --follow tail, and as the service's demotion handler, a new tail of
+/// the successor a fencing REPL DEMOTE names. A fence that names none
+/// (the SUBSCRIBE handshake) leaves the node read-only until a router
+/// sweep or an operator names one.
+class Rejoiner {
+ public:
+  /// `service` must outlive this object. Every tail starts from `tail`
+  /// with host and port replaced.
+  Rejoiner(server::OocqService* service, FollowerOptions tail);
+  ~Rejoiner() { Shutdown(); }
+  Rejoiner(const Rejoiner&) = delete;
+  Rejoiner& operator=(const Rejoiner&) = delete;
+
+  /// Tails `primary` ("HOST:PORT") in place of the current tail;
+  /// kInvalidArgument when malformed, a no-op after Shutdown().
+  Status Follow(const std::string& primary);
+  /// Stops the tail and detaches the handler for good. Idempotent; call
+  /// before the service drains.
+  void Shutdown();
+
+ private:
+  server::OocqService* const service_;
+  const FollowerOptions tail_;
+  std::mutex mu_;
+  bool shut_down_ = false;
+  std::unique_ptr<Follower> follower_;
 };
 
 }  // namespace oocq::replicate

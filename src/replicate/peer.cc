@@ -10,6 +10,8 @@
 #include <cstring>
 
 #include "support/failpoint.h"
+#include "support/log.h"
+#include "support/metrics.h"
 
 namespace oocq::replicate {
 
@@ -123,6 +125,65 @@ bool ReplyOk(const WireReply& reply) {
 
 bool ReplyFailedPrecondition(const WireReply& reply) {
   return reply.status.rfind("ERR FAILED_PRECONDITION", 0) == 0;
+}
+
+PeerStatus ProbePeer(const std::string& address, uint32_t timeout_ms) {
+  PeerStatus status;
+  status.address = address;
+  std::string host;
+  uint16_t port = 0;
+  if (!SplitHostPort(address, &host, &port)) return status;
+  int fd = DialPeer(host, port, timeout_ms);
+  if (fd < 0) return status;
+  std::string buffer;
+  WireReply reply;
+  if (SendAll(fd, "HEALTH\n") &&
+      ReadWireReply(fd, &buffer, &reply).ok() && ReplyOk(reply)) {
+    status.reachable = true;
+    status.role = FieldString(reply.status, "role");
+    status.readonly = FieldUint(reply.status, "readonly") != 0;
+    status.fenced = FieldUint(reply.status, "fenced") != 0;
+    status.term = FieldUint(reply.status, "term");
+    // Stream liveness/lag ride on the optional `repl:` body line.
+    for (const std::string& line : reply.payload) {
+      if (line.rfind("repl:", 0) != 0) continue;
+      status.repl_connected = FieldUint(line, "connected") != 0;
+      status.lag_records = FieldUint(line, "lag_records");
+    }
+  }
+  (void)SendAll(fd, "QUIT\n");
+  ::close(fd);
+  return status;
+}
+
+size_t FenceStalePrimaries(const FleetPlan& plan, uint32_t timeout_ms) {
+  size_t demoted = 0;
+  for (const PeerStatus& peer : plan.to_fence) {
+    std::string host;
+    uint16_t port = 0;
+    if (!SplitHostPort(peer.address, &host, &port)) continue;
+    int fd = DialPeer(host, port, timeout_ms);
+    if (fd < 0) continue;
+    std::string buffer;
+    WireReply reply;
+    const std::string demote = "REPL DEMOTE " +
+                               std::to_string(plan.winner_term) +
+                               " primary=" + plan.winner + "\n";
+    if (SendAll(fd, demote) && ReadWireReply(fd, &buffer, &reply).ok() &&
+        ReplyOk(reply)) {
+      ++demoted;
+      MetricAdd("fence/demotions_sent", 1);
+      OOCQ_LOG(Info, "fence")
+          .Msg("demoted stale primary")
+          .With("peer", peer.address)
+          .With("peer_term", peer.term)
+          .With("winner", plan.winner)
+          .With("winner_term", plan.winner_term);
+    }
+    (void)SendAll(fd, "QUIT\n");
+    ::close(fd);
+  }
+  return demoted;
 }
 
 }  // namespace oocq::replicate

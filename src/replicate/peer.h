@@ -3,19 +3,22 @@
 
 /// Client-side plumbing for talking to an oocq server as a *peer*:
 /// blocking dial with a receive timeout, whole-reply reads of the
-/// dot-stuffed line protocol, and field extraction off reply status
-/// lines. Shared by the follower tail (replicate/follower.cc), the
-/// fencing sweep (replicate/fence.h), and the session router's prober
-/// (examples/oocq_route.cpp) so all three speak the wire identically.
+/// dot-stuffed line protocol, field extraction off reply status lines,
+/// and the two conversations of the fencing sweep (docs/replication.md
+/// #terms-and-fencing): the HEALTH probe and REPL DEMOTE. Shared by the
+/// follower tail (replicate/follower.cc), the session router's prober
+/// (examples/oocq_route.cpp) and tests so all speak the wire identically.
 ///
 /// Every dial funnels through the `net/partition` failpoint labeled
 /// with the peer's "host:port", which is how chaos tests black-hole a
 /// specific peer without killing its process (docs/robustness.md).
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "replicate/role.h"
 #include "support/status.h"
 
 namespace oocq::replicate {
@@ -53,6 +56,16 @@ std::string FieldString(const std::string& status, const std::string& key);
 
 bool ReplyOk(const WireReply& reply);
 bool ReplyFailedPrecondition(const WireReply& reply);
+
+/// Probes `address` with one HEALTH round trip over a fresh connection.
+/// Never fails: an unreachable peer comes back with reachable=false.
+PeerStatus ProbePeer(const std::string& address, uint32_t timeout_ms);
+
+/// Sends `REPL DEMOTE <winner_term> primary=<winner>` to every primary in
+/// `plan.to_fence` (replicate/role.h: PlanFleet). Best-effort; returns
+/// how many acknowledged. A primary whose fence fails keeps its role and
+/// term, so the next sweep plans it again.
+size_t FenceStalePrimaries(const FleetPlan& plan, uint32_t timeout_ms);
 
 }  // namespace oocq::replicate
 

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "persist/wal.h"
+#include "replicate/role.h"
 #include "replicate/wire.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
@@ -544,9 +545,7 @@ ProtocolReply ProtocolHandler::HandleRepl(const CommandLine& command) {
   if (sub == "DEMOTE") {
     // Fence this node: the caller (a router's fencing sweep, an operator,
     // a peer) proved a primary at <term> exists. `primary=HOST:PORT`
-    // names the successor to rejoin as a follower of; it is mandatory
-    // for a tied term (deterministic dueling tie-break), optional when
-    // the observed term is strictly higher.
+    // names the successor to rejoin (replicate/role.h has the rules).
     if (command.args.size() != 2) {
       return ErrReply(
           BadRequest("usage: REPL DEMOTE <term> [primary=HOST:PORT]"));
@@ -627,22 +626,19 @@ ProtocolReply ProtocolHandler::HandleRepl(const CommandLine& command) {
         ParamUint(command, "wait_ms"), 10000);
     const uint64_t max_bytes = ParamUint(command, "max_bytes");
     MetricAdd("repl/subscribes", 1);
-    // The fencing handshake: a subscriber carrying a higher term proves
-    // a newer primary was elected while we were partitioned — fence
-    // *before* shipping a single frame of our forked history.
+    // The fencing handshake (replicate/role.h): a subscriber carrying a
+    // higher term fences this node *before* it ships a single frame of
+    // its forked history; a lower-term subscriber is refused.
     const uint64_t subscriber_term = ParamUint(command, "term");
-    if (subscriber_term > service_->term()) {
-      (void)service_->Demote(subscriber_term, "");
+    StatusOr<replicate::RoleAction> handshake = service_->ApplyRoleEvent(
+        {replicate::RoleEventKind::kSubscriberTerm, subscriber_term});
+    // A refusal, or a fence that failed and so changed nothing.
+    if (!handshake.ok()) return ErrReply(handshake.status());
+    if (*handshake != replicate::RoleAction::kNone) {
       return ErrReply(Status::FailedPrecondition(
           "fenced term=" + std::to_string(service_->term()) +
           ": subscriber is ahead of this node; resync from the current "
           "primary"));
-    }
-    if (subscriber_term != 0 && subscriber_term < service_->term()) {
-      return ErrReply(Status::FailedPrecondition(
-          "stale subscriber term=" + std::to_string(subscriber_term) +
-          "; this primary is at term " + std::to_string(service_->term()) +
-          "; resync required"));
     }
     if (wal->epoch() != want_epoch) {
       return ErrReply(Status::FailedPrecondition(

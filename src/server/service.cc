@@ -325,25 +325,12 @@ std::vector<std::string> OocqService::SessionIds() const {
 Status OocqService::ApplyReplicated(const persist::Record& record,
                                     uint64_t term) {
   OOCQ_RETURN_IF_ERROR(Failpoints::Check("repl/apply"));
-  if (term != 0) {
-    const uint64_t current = term_.load(std::memory_order_acquire);
-    if (term < current) {
-      // The single-writer invariant's last line of defense: a record
-      // shipped by a stale (pre-fence) primary never enters this WAL.
-      registry_.Add("repl/rejected_records", 1);
-      return Status::FailedPrecondition(
-          "fenced record: shipped under term " + std::to_string(term) +
-          " but this node is at term " + std::to_string(current));
-    }
-    if (term > current) {
-      std::lock_guard<std::mutex> lock(role_mu_);
-      if (term > term_.load(std::memory_order_acquire)) {
-        if (options_.catalog != nullptr) {
-          OOCQ_RETURN_IF_ERROR(options_.catalog->SetTerm(term));
-        }
-        term_.store(term, std::memory_order_release);
-      }
-    }
+  Status stamped =
+      ApplyRoleEvent({replicate::RoleEventKind::kShippedRecord, term})
+          .status();
+  if (!stamped.ok()) {
+    registry_.Add("repl/rejected_records", 1);
+    return stamped;
   }
   // Same discipline as a client mutation: in-memory commit and the WAL
   // append of this node's own catalog happen under one shared hold of
@@ -356,74 +343,66 @@ Status OocqService::ApplyReplicated(const persist::Record& record,
   return LogMutation(record);
 }
 
-Status OocqService::Promote(uint64_t min_term) {
-  std::lock_guard<std::mutex> lock(role_mu_);
-  if (!read_only_.load(std::memory_order_relaxed)) return Status::Ok();
-  OOCQ_RETURN_IF_ERROR(Failpoints::Check("repl/promote"));
-  // Claim write authority under a fresh term, durably, *before* the
-  // readonly gate opens: the first acked write must already be covered
-  // by a term that survives restart.
-  const uint64_t next =
-      std::max(term_.load(std::memory_order_acquire) + 1, min_term);
-  if (options_.catalog != nullptr) {
-    OOCQ_RETURN_IF_ERROR(options_.catalog->SetTerm(next));
-  }
-  term_.store(next, std::memory_order_release);
-  fenced_.store(false, std::memory_order_relaxed);
-  read_only_.store(false, std::memory_order_relaxed);
-  registry_.Add("repl/promotions", 1);
-  OOCQ_LOG(Info, "repl")
-      .Msg("promoted to primary; accepting writes")
-      .With("term", next);
-  return Status::Ok();
+Status OocqService::Promote() {
+  return ApplyRoleEvent({replicate::RoleEventKind::kPromote}).status();
 }
 
 Status OocqService::Demote(uint64_t observed_term,
                            const std::string& new_primary) {
-  std::function<void(uint64_t, const std::string&)> handler;
-  uint64_t adopted = 0;
+  return ApplyRoleEvent(
+             {replicate::RoleEventKind::kDemote, observed_term, new_primary})
+      .status();
+}
+
+StatusOr<replicate::RoleAction> OocqService::ApplyRoleEvent(
+    const replicate::RoleEvent& event) {
+  using replicate::RoleAction;
+  replicate::RoleStep step;
   {
     std::lock_guard<std::mutex> lock(role_mu_);
-    const uint64_t current = term_.load(std::memory_order_acquire);
-    if (observed_term < current) {
-      return Status::FailedPrecondition(
-          "stale term: demotion names term " + std::to_string(observed_term) +
-          " but this node is at term " + std::to_string(current));
+    const replicate::Role current{!read_only_.load(std::memory_order_relaxed),
+                                  fenced_.load(std::memory_order_relaxed),
+                                  term_.load(std::memory_order_acquire)};
+    step = replicate::StepRole(current, event);
+    if (step.action == RoleAction::kNone) return step.action;
+    if (step.action == RoleAction::kRefuse) return step.refusal;
+    if (step.action == RoleAction::kPromote) {
+      OOCQ_RETURN_IF_ERROR(Failpoints::Check("repl/promote"));
     }
-    const bool was_primary = !read_only_.load(std::memory_order_relaxed);
-    if (was_primary && observed_term == current && new_primary.empty()) {
-      // A tied demotion must name the winner: otherwise two dueling
-      // primaries at the same term could demote each other and leave
-      // no writer at all.
-      return Status::FailedPrecondition(
-          "refusing tied demotion at term " + std::to_string(current) +
-          " without a named successor");
+    if (step.action == RoleAction::kFence) {
+      OOCQ_RETURN_IF_ERROR(Failpoints::Check("repl/fence"));
     }
-    if (observed_term > current) {
-      if (options_.catalog != nullptr) {
-        OOCQ_RETURN_IF_ERROR(options_.catalog->SetTerm(observed_term));
-      }
-      term_.store(observed_term, std::memory_order_release);
+    // The new term is durable *before* the new role is visible: the
+    // first write acked under a term is already covered by a TERM file
+    // that survives restart.
+    if (step.persist_term != 0 && options_.catalog != nullptr) {
+      OOCQ_RETURN_IF_ERROR(options_.catalog->SetTerm(step.persist_term));
     }
-    adopted = term_.load(std::memory_order_acquire);
-    if (!was_primary) return Status::Ok();  // follower: term adopted, done
-    OOCQ_RETURN_IF_ERROR(Failpoints::Check("repl/fence"));
-    fenced_.store(true, std::memory_order_relaxed);
-    read_only_.store(true, std::memory_order_relaxed);
+    term_.store(step.next.term, std::memory_order_release);
+    fenced_.store(step.next.fenced, std::memory_order_relaxed);
+    read_only_.store(!step.next.writable, std::memory_order_relaxed);
+    if (step.action == RoleAction::kPromote) {
+      registry_.Add("repl/promotions", 1);
+      OOCQ_LOG(Info, "repl")
+          .Msg("promoted to primary; accepting writes")
+          .With("term", step.next.term);
+    }
+    if (step.action != RoleAction::kFence) return step.action;
     registry_.Add("repl/demotions", 1);
     OOCQ_LOG(Info, "repl")
         .Msg("fenced: stepping down to follower")
-        .With("term", adopted)
-        .With("new_primary", new_primary.empty() ? "<unknown>" : new_primary);
+        .With("term", step.next.term)
+        .With("new_primary", step.follow.empty() ? "<unknown>" : step.follow);
   }
+  std::function<void(uint64_t, const std::string&)> handler;
   {
     std::lock_guard<std::mutex> lock(repl_probe_mu_);
     handler = demotion_handler_;
   }
   // Invoked outside every service lock: the handler typically starts a
   // follower tail (which will call back into this service).
-  if (handler) handler(adopted, new_primary);
-  return Status::Ok();
+  if (handler) handler(step.next.term, step.follow);
+  return step.action;
 }
 
 void OocqService::SetReplicationProbe(

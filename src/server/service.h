@@ -47,6 +47,7 @@
 #include "core/engine_options.h"
 #include "persist/catalog.h"
 #include "query/query.h"
+#include "replicate/role.h"
 #include "schema/schema.h"
 #include "state/state.h"
 #include "support/cancellation.h"
@@ -224,24 +225,24 @@ class OocqService {
   /// record to this node's own catalog — so replay==acked holds on the
   /// follower too and promotion is just Promote(). Serialized by the
   /// caller (the follower's single tail thread). `term` is the shipping
-  /// primary's term: lower than ours is rejected (kFailedPrecondition —
-  /// a healed stale primary can never pollute this WAL), higher is
-  /// adopted durably, 0 means "unstamped" (trusted local replay).
+  /// primary's term (0 = unstamped local replay), stepped through the role
+  /// machine first: a lower-term record is refused (kFailedPrecondition).
   Status ApplyReplicated(const persist::Record& record, uint64_t term = 0);
-  /// Clears the readonly gate; this node now accepts writes. On an
-  /// actual transition the term is bumped to max(term+1, min_term) and
-  /// persisted, and the `repl/promote` failpoint fires. Idempotent.
-  Status Promote(uint64_t min_term = 0);
-  /// Fences this node: a peer (subscriber handshake, REPL DEMOTE, the
-  /// router's fencing sweep) proved a primary at `observed_term` exists.
-  /// A primary steps down when observed_term > term(), or when
-  /// observed_term == term() and `new_primary` names the dueling winner
-  /// (the router's deterministic tie-break). Adopts the term durably,
-  /// flips read-only + fenced, fires the `repl/fence` failpoint, and
-  /// invokes the demotion handler with (term, new_primary) so the host
-  /// can rejoin as a follower. kFailedPrecondition for a stale term.
-  /// Already-followers adopt the term and return Ok.
+  /// REPL PROMOTE: clears the readonly gate under a fresh term.
+  /// Idempotent.
+  Status Promote();
+  /// REPL DEMOTE: a peer proved a primary at `observed_term` exists; a
+  /// primary fences and the demotion handler rejoins `new_primary`.
   Status Demote(uint64_t observed_term, const std::string& new_primary);
+  /// The driver of the role machine (replicate/role.h, which holds the
+  /// rules): steps the current role through `event` under the role lock,
+  /// then applies the result — the transition's failpoint (`repl/promote`,
+  /// `repl/fence`) first, then the TERM file, then the new role, then for
+  /// a fence the demotion handler. Returns the applied action; a
+  /// refusal, a failpoint or a failed TERM write changes nothing and is
+  /// returned as the error.
+  StatusOr<replicate::RoleAction> ApplyRoleEvent(
+      const replicate::RoleEvent& event);
   /// Installs the replication telemetry source CollectHealth() consults
   /// (a follower's tail loop). Null detaches it.
   void SetReplicationProbe(std::function<ReplicationHealth()> probe);
@@ -382,9 +383,8 @@ class OocqService {
   /// Mirrors the catalog term (1 without a catalog). Guarded for writers
   /// by role_mu_; readers use the atomic.
   std::atomic<uint64_t> term_{1};
-  /// Serializes role/term transitions (Promote, Demote, term adoption in
-  /// ApplyReplicated) so concurrent demotions cannot interleave the
-  /// persist-then-publish sequence.
+  /// Serializes ApplyRoleEvent so concurrent transitions cannot
+  /// interleave the persist-then-publish sequence.
   std::mutex role_mu_;
   mutable std::mutex repl_probe_mu_;
   std::function<ReplicationHealth()> repl_probe_;

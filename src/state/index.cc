@@ -6,12 +6,8 @@ namespace oocq {
 
 StateIndex::StateIndex(const State& state) : state_(&state) {
   const Schema& schema = state.schema();
-  extents_.resize(schema.num_classes());
   for (Oid oid = 0; oid < state.num_objects(); ++oid) {
     ClassId terminal = state.class_of(oid);
-    for (ClassId c = 0; c < schema.num_classes(); ++c) {
-      if (schema.IsSubclassOf(terminal, c)) extents_[c].push_back(oid);
-    }
     const ClassInfo& info = schema.class_info(terminal);
     for (const AttributeDef& attr : info.all_attributes) {
       const Value* value = state.GetAttribute(oid, attr.name);

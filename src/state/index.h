@@ -13,8 +13,7 @@ namespace oocq {
 /// Secondary indexes over one State snapshot, the access paths the
 /// index-nested-loop evaluator (state/indexed_evaluation.h) drives:
 ///
-///  - extent index: class id -> sorted member oids (materializing what
-///    State::Extent computes by scan);
+///  - extents: read from the State's own extent table (State::Extent);
 ///  - ref index: (attribute, value oid) -> owners whose slot references
 ///    that value (supports `u = x.A` with u bound);
 ///  - set index: (attribute, element oid) -> owners whose set contains
@@ -28,7 +27,7 @@ class StateIndex {
   const State& state() const { return *state_; }
 
   /// Sorted extent of class `c`.
-  const std::vector<Oid>& Extent(ClassId c) const { return extents_[c]; }
+  std::vector<Oid> Extent(ClassId c) const { return state_->Extent(c); }
 
   /// Owners o with o.attr referencing `value` (sorted; empty if none).
   const std::vector<Oid>& RefOwners(std::string_view attr, Oid value) const;
@@ -38,7 +37,6 @@ class StateIndex {
 
  private:
   const State* state_;
-  std::vector<std::vector<Oid>> extents_;
   std::map<std::pair<std::string, Oid>, std::vector<Oid>, std::less<>>
       ref_owners_;
   std::map<std::pair<std::string, Oid>, std::vector<Oid>, std::less<>>

@@ -1,10 +1,14 @@
 #include "state/state.h"
 
+#include <algorithm>
+
 namespace oocq {
 
 Oid State::AddRaw(ClassId cls) {
   Oid oid = static_cast<Oid>(objects_.size());
   objects_.push_back(ObjectData{cls, {}, std::monostate{}});
+  if (cls >= extents_.size()) extents_.resize(cls + 1);
+  extents_[cls].push_back(oid);
   return oid;
 }
 
@@ -94,10 +98,15 @@ const Value* State::GetAttribute(Oid oid, std::string_view attr) const {
 }
 
 std::vector<Oid> State::Extent(ClassId c) const {
+  const std::vector<ClassId>& terminals = schema_->TerminalDescendants(c);
   std::vector<Oid> result;
-  for (Oid oid = 0; oid < objects_.size(); ++oid) {
-    if (schema_->IsSubclassOf(objects_[oid].cls, c)) result.push_back(oid);
+  for (ClassId t : terminals) {
+    const std::vector<Oid>& extent = TerminalExtent(t);
+    result.insert(result.end(), extent.begin(), extent.end());
   }
+  // Terminal classes partition the objects: merging their ascending
+  // lists needs one sort and no dedup.
+  if (terminals.size() > 1) std::sort(result.begin(), result.end());
   return result;
 }
 

@@ -61,10 +61,18 @@ class State {
   const Value* GetAttribute(Oid oid, std::string_view attr) const;
 
   /// The extent of class `c`: all objects whose terminal class is a
-  /// descendant-or-self of `c`. Primitive extents contain the interned
-  /// values only (active-domain semantics; the conceptual extent is
-  /// unbounded).
+  /// descendant-or-self of `c`, ascending. Primitive extents contain the
+  /// interned values only (active-domain semantics; the conceptual extent
+  /// is unbounded).
   std::vector<Oid> Extent(ClassId c) const;
+
+  /// The objects of terminal class `t`, ascending — the extent table every
+  /// evaluator reads, maintained on insert. Empty for a class without
+  /// objects (every non-terminal class among them).
+  const std::vector<Oid>& TerminalExtent(ClassId t) const {
+    static const std::vector<Oid> kEmpty;
+    return t < extents_.size() ? extents_[t] : kEmpty;
+  }
 
   /// Whether `oid` is a member of class `c`.
   bool IsMember(Oid oid, ClassId c) const {
@@ -91,6 +99,9 @@ class State {
 
   const Schema* schema_;
   std::vector<ObjectData> objects_;
+  /// Terminal class id -> its objects' oids. Appended in AddRaw, which
+  /// hands out ascending oids, so every list stays sorted.
+  std::vector<std::vector<Oid>> extents_;
   std::map<int64_t, Oid> int_pool_;
   std::map<double, Oid> real_pool_;
   std::map<std::string, Oid, std::less<>> string_pool_;

@@ -211,7 +211,7 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "snapshot/write",    // persist/snapshot.cc: before the durable write
       "snapshot/load",     // persist/snapshot.cc: before reading a file
       "pool/dispatch",     // support/thread_pool.cc: before a task runs
-      "core/subset_scan",  // core/containment.cc: per Thm 3.1 chunk
+      "core/subset_scan",  // core/containment.cc: per interpreted Thm 3.1 scan
       "cache/lookup",      // core/containment_cache.cc: on entry
       "service/execute",   // server/service.cc: before the request body
       "tcp/accept",        // server/event_server.cc: after accept4() returns
@@ -220,7 +220,7 @@ const std::vector<std::string>& Failpoints::KnownNames() {
       "repl/ship",         // server/protocol.cc: before serving REPL STATE/SUBSCRIBE
       "repl/apply",        // server/service.cc: before applying a shipped record
       "repl/promote",      // server/service.cc: before a follower promotes
-      "repl/fence",        // server/service.cc: when a primary fences itself
+      "repl/fence",        // server/service.cc: before a primary fences itself
       "net/partition",     // replicate/peer.cc + follower.cc: per-peer black-hole
       "compile/exec",      // compile fast paths: force interpreter bailout
   };

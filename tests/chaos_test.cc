@@ -19,7 +19,7 @@
 
 #include "core/optimizer.h"
 #include "persist/catalog.h"
-#include "replicate/fence.h"
+#include "replicate/peer.h"
 #include "server/event_server.h"
 #include "server/service.h"
 #include "support/failpoint.h"

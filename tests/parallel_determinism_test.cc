@@ -126,7 +126,7 @@ TEST_P(ParallelDeterminism, OptimizerOutputIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(ParallelDeterminism, ContainmentVerdictsIdenticalAcrossThreadCounts) {
-  // General queries (negative atoms exercise the chunked 2^|T| subset
+  // General queries (negative atoms exercise the 2^|T| subset
   // enumeration of Thm 3.1). Verdicts and errors must match the serial
   // run; work counters on early-exit paths may differ and are not
   // compared.

@@ -12,13 +12,11 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "persist/catalog.h"
-#include "replicate/fence.h"
 #include "replicate/follower.h"
 #include "replicate/peer.h"
 #include "server/event_server.h"
@@ -34,13 +32,14 @@ using ::oocq::replicate::DialPeer;
 using ::oocq::replicate::FieldUint;
 using ::oocq::replicate::Follower;
 using ::oocq::replicate::FollowerOptions;
+using ::oocq::replicate::FenceStalePrimaries;
+using ::oocq::replicate::FleetPlan;
 using ::oocq::replicate::PeerStatus;
-using ::oocq::replicate::PickWinner;
+using ::oocq::replicate::PlanFleet;
 using ::oocq::replicate::ProbePeer;
 using ::oocq::replicate::ReadWireReply;
-using ::oocq::replicate::ResolveSingleWriter;
+using ::oocq::replicate::Rejoiner;
 using ::oocq::replicate::SendAll;
-using ::oocq::replicate::SplitHostPort;
 using ::oocq::replicate::WireReply;
 using ::oocq::testing::kVehicleRentalSchema;
 
@@ -161,8 +160,11 @@ TEST(ReplFencingTest, DemoteFencesPrimaryAndRejectsLowerTermRecords) {
             StatusCode::kFailedPrecondition);
   OOCQ_EXPECT_OK(service.ApplyReplicated(record, 2));  // current term is fine
 
-  // Re-promotion claims a fresh, higher term and clears the fence.
-  OOCQ_ASSERT_OK(service.Promote(10));
+  // Re-promotion claims a fresh, higher term and clears the fence (a
+  // fenced node adopts a higher demotion term without a transition).
+  OOCQ_ASSERT_OK(service.Demote(9, "127.0.0.1:7799"));
+  EXPECT_EQ(service.term(), 9u);
+  OOCQ_ASSERT_OK(service.Promote());
   EXPECT_FALSE(service.fenced());
   EXPECT_FALSE(service.read_only());
   EXPECT_EQ(service.term(), 10u);
@@ -211,30 +213,62 @@ TEST(ReplFencingTest, SubscribeTermHandshakeFencesStalePrimary) {
   transport.Stop();
 }
 
-// ---- The deterministic tie-break --------------------------------------
+// ---- A failed fence changes nothing ----------------------------------
 
-TEST(ReplFencingTest, PickWinnerOrdersByTermThenAddress) {
-  std::vector<PeerStatus> peers(4);
-  peers[0].address = "127.0.0.1:9001";
-  peers[0].reachable = true;
-  peers[0].readonly = false;
-  peers[0].term = 2;
-  peers[1].address = "127.0.0.1:9002";  // tied term: higher address wins
-  peers[1].reachable = true;
-  peers[1].readonly = false;
-  peers[1].term = 2;
-  peers[2].address = "127.0.0.1:9009";  // higher address but lower term
-  peers[2].reachable = true;
-  peers[2].readonly = false;
-  peers[2].term = 1;
-  peers[3].address = "127.0.0.1:9999";  // highest term but not writable
-  peers[3].reachable = true;
-  peers[3].readonly = true;
-  peers[3].term = 9;
-  EXPECT_EQ(PickWinner(peers), "127.0.0.1:9002");
-  peers[1].reachable = false;  // unreachable peers never win
-  EXPECT_EQ(PickWinner(peers), "127.0.0.1:9001");
-  EXPECT_EQ(PickWinner({}), "");
+TEST(ReplFencingTest, FailedFenceLeavesRoleTermAndTermFileUnchanged) {
+  Failpoints::Reset();
+  std::string dir = FreshDir("failed_fence");
+  ServiceOptions options;
+  options.catalog = OpenCatalog(dir);
+  ASSERT_NE(options.catalog, nullptr);
+  OocqService service(options);
+  EventServerOptions transport_options;
+  transport_options.dispatch_threads = 2;
+  EventServer transport(&service, transport_options);
+  OOCQ_ASSERT_OK(transport.Start());
+  int handler_calls = 0;
+  service.SetDemotionHandler(
+      [&](uint64_t, const std::string&) { ++handler_calls; });
+
+  // Adopting the winner's term and fencing are one step: when the fence
+  // fails, the node must not be left writable under the winner's term.
+  OOCQ_ASSERT_OK(Failpoints::Configure("repl/fence=error"));
+  EXPECT_FALSE(service.Demote(5, "127.0.0.1:9").ok());
+  EXPECT_FALSE(service.read_only());
+  EXPECT_FALSE(service.fenced());
+  EXPECT_EQ(service.term(), 1u);
+  EXPECT_EQ(options.catalog->term(), 1u);
+  StatusOr<std::string> term_file = ReadFileToString(dir + "/TERM");
+  EXPECT_TRUE(!term_file.ok() || *term_file == "1\n");
+  EXPECT_EQ(handler_calls, 0);
+
+  // The SUBSCRIBE handshake still refuses the subscriber, but it must not
+  // claim a fence that did not happen.
+  int fd = DialPeer("127.0.0.1", transport.port(), 2000);
+  ASSERT_GE(fd, 0);
+  std::string buffer;
+  WireReply reply;
+  ASSERT_TRUE(SendAll(fd, "REPL SUBSCRIBE 1 0 wait_ms=0 term=7\n"));
+  OOCQ_ASSERT_OK(ReadWireReply(fd, &buffer, &reply));
+  EXPECT_EQ(reply.status.rfind("ERR ", 0), 0u);
+  EXPECT_EQ(reply.status.find("fenced"), std::string::npos) << reply.status;
+  EXPECT_FALSE(service.read_only());
+  EXPECT_EQ(service.term(), 1u);
+  (void)SendAll(fd, "QUIT\n");
+  ::close(fd);
+
+  // Still a primary at its own term: writes are accepted.
+  OOCQ_EXPECT_OK(service.CreateSession(kVehicleRentalSchema).status());
+
+  // Once the fence can succeed, the same demotion converges.
+  Failpoints::Reset();
+  OOCQ_ASSERT_OK(service.Demote(5, "127.0.0.1:9"));
+  EXPECT_TRUE(service.fenced());
+  EXPECT_TRUE(service.read_only());
+  EXPECT_EQ(service.term(), 5u);
+  EXPECT_EQ(options.catalog->term(), 5u);
+  EXPECT_EQ(handler_calls, 1);
+  transport.Stop();
 }
 
 // ---- Dueling promotions end to end ------------------------------------
@@ -278,31 +312,14 @@ TEST(ReplFencingTest, DuelingPromotionsConvergeToSingleWriter) {
   const std::string addr_p = "127.0.0.1:" + std::to_string(transport_p.port());
 
   // Demoted nodes rejoin as followers of the named winner — the same
-  // wiring oocq_serve installs, reduced to its essentials.
-  std::mutex rejoin_mu;
-  std::vector<std::unique_ptr<Follower>> rejoined;
-  auto install_rejoin = [&](OocqService* service) {
-    service->SetDemotionHandler(
-        [&rejoin_mu, &rejoined, service](uint64_t,
-                                         const std::string& new_primary) {
-          std::string host;
-          uint16_t port = 0;
-          if (!SplitHostPort(new_primary, &host, &port)) return;
-          FollowerOptions options;
-          options.host = host;
-          options.port = port;
-          options.poll_wait_ms = 100;
-          options.backoff_ms = 20;
-          options.backoff_cap_ms = 50;
-          auto follower = std::make_unique<Follower>(service, options);
-          follower->Start();
-          std::lock_guard<std::mutex> lock(rejoin_mu);
-          rejoined.push_back(std::move(follower));
-        });
-  };
-  install_rejoin(&service_a);
-  install_rejoin(&service_b);
-  install_rejoin(&service_p);
+  // rejoin code oocq_serve installs.
+  FollowerOptions rejoin_options;
+  rejoin_options.poll_wait_ms = 100;
+  rejoin_options.backoff_ms = 20;
+  rejoin_options.backoff_cap_ms = 50;
+  Rejoiner rejoin_a(&service_a, rejoin_options);
+  Rejoiner rejoin_b(&service_b, rejoin_options);
+  Rejoiner rejoin_p(&service_p, rejoin_options);
 
   // Seed the primary and let both followers converge; the seeded write
   // is "acked" — it must survive everything that follows.
@@ -344,17 +361,23 @@ TEST(ReplFencingTest, DuelingPromotionsConvergeToSingleWriter) {
 
   // ---- Heal, then sweep ----
   Failpoints::Reset();
-  StatusOr<std::string> winner = ResolveSingleWriter({addr_p, addr_a, addr_b},
-                                                     2000);
-  OOCQ_ASSERT_OK(winner.status());
+  std::vector<PeerStatus> peers;
+  for (const std::string& address : {addr_p, addr_a, addr_b}) {
+    peers.push_back(ProbePeer(address, 2000));
+  }
+  const FleetPlan plan = PlanFleet(peers, /*read_from_followers=*/false,
+                                   /*max_follower_lag=*/0);
+  ASSERT_FALSE(plan.winner.empty());
+  EXPECT_EQ(plan.winner_term, 2u);
+  EXPECT_EQ(plan.to_fence.size(), 2u);
+  EXPECT_EQ(FenceStalePrimaries(plan, 2000), 2u);
   // Deterministic duel outcome: both dueling primaries are at term 2,
   // so the higher address wins, and the old term-1 primary can never.
   const std::string expected =
       transport_a.port() > transport_b.port() ? addr_a : addr_b;
-  EXPECT_EQ(*winner, expected);
-  OocqService& winner_service =
-      *winner == addr_a ? service_a : service_b;
-  OocqService& loser_service = *winner == addr_a ? service_b : service_a;
+  EXPECT_EQ(plan.winner, expected);
+  OocqService& winner_service = plan.winner == addr_a ? service_a : service_b;
+  OocqService& loser_service = plan.winner == addr_a ? service_b : service_a;
 
   // Exactly one backend accepts mutations; everyone else is fenced.
   ASSERT_TRUE(Eventually([&] {
@@ -393,11 +416,9 @@ TEST(ReplFencingTest, DuelingPromotionsConvergeToSingleWriter) {
   // winner's term, so a restart can never resurrect its write claim.
   EXPECT_EQ(options_p.catalog->term(), 2u);
 
-  {
-    std::lock_guard<std::mutex> lock(rejoin_mu);
-    for (std::unique_ptr<Follower>& follower : rejoined) follower->Stop();
-    rejoined.clear();
-  }
+  rejoin_a.Shutdown();
+  rejoin_b.Shutdown();
+  rejoin_p.Shutdown();
   transport_a.Stop();
   transport_b.Stop();
   transport_p.Stop();
